@@ -9,11 +9,14 @@ against path lower bounds relative to the incumbent upper bound, which is
 refreshed each level by greedily completing the best outgoing labels. The
 two frontiers meet in the middle: a forward and a backward label join when
 they overlap exactly in the forward endpoint and cover everything between
-them.
+them. The per-vertex position thresholds of bounds.compute_beta are not
+applied during the search; they form the threshold table `prtrp bounds`
+prints.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
-(theta + level * delta) of the incumbent, trading the guarantee for speed.
+(theta + level * delta) of the incumbent, trading the guarantee for speed,
+and may cap the source's position by the greedy tours.
 """
 
 from __future__ import annotations
@@ -23,11 +26,18 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .bounds import build_bounds_table, compute_beta
+from .bounds import build_bounds_table
 from .errors import EngineLimitError
 from .heuristics import greedy_complete, greedy_distance, greedy_priority_distance
 from .instance import Instance, Route
-from .power_eval import PrecedenceIndex, build_index, disrupted_count, evaluate_route
+from .power_eval import (
+    PrecedenceIndex,
+    build_index,
+    check_partial,
+    disrupted_count,
+    evaluate_route,
+    make_disrupted_counter,
+)
 
 EXACT = "exact"
 HEURISTIC = "heuristic"
@@ -50,8 +60,11 @@ class SolverConfig:
     theta/delta drive the dynamic acceptance threshold: a label survives
     when its lower bound is at most (theta + level * delta) times the
     incumbent upper bound. They are held to percent resolution so the
-    comparison stays in exact integers. Exact mode requires theta=1,
-    delta=0 and no heuristic source position.
+    comparison stays in exact integers. use_heuristic_source_beta keeps
+    the source out of every position past heuristic_source_beta. Exact
+    mode requires theta=1, delta=0 and no heuristic source position.
+    use_dominance and use_path_bounds switch the two prunings off, which
+    leaves an unpruned reference search for tests.
     """
 
     mode: str = EXACT
@@ -59,13 +72,10 @@ class SolverConfig:
     delta: float = 0.0
     use_heuristic_source_beta: bool = False
     ub_refresh_width: int = 32
-    strict_position_filter: bool = False
     use_dominance: bool = True
     use_path_bounds: bool = True
-    use_position_filter: bool = True
     labels_cap: Optional[int] = None
     time_limit: Optional[float] = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.mode not in (EXACT, HEURISTIC):
@@ -82,8 +92,6 @@ class SolverConfig:
             )
         if self.ub_refresh_width < 0:
             raise ValueError("ub_refresh_width must be >= 0")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     @property
     def theta_pct(self) -> int:
@@ -113,7 +121,7 @@ def forward_value(
     vertices before the leg's destination is repaired; the first leg always
     counts all n.
     """
-    _check_partial(instance.n, order)
+    check_partial(instance.n, order)
     travel = instance.travel
     value = 0
     mask = 0
@@ -134,7 +142,7 @@ def backward_value(
     depends on the path itself. The final leg into the depot has everything
     repaired and costs nothing.
     """
-    _check_partial(instance.n, order)
+    check_partial(instance.n, order)
     travel = instance.travel
     full = (1 << instance.n) - 1
     repaired = full
@@ -147,24 +155,24 @@ def backward_value(
     return value
 
 
-def heuristic_source_beta(instance: Instance, index: PrecedenceIndex) -> int:
+def heuristic_source_beta(
+    instance: Instance,
+    index: PrecedenceIndex,
+    tours: Optional[Sequence[Route]] = None,
+) -> int:
     """Largest 1-based position the source takes in the two greedy tours.
 
-    Used as an optional cap on the source's admissible positions; it can
-    cut off optima, which is why only heuristic mode may apply it.
+    tours are the greedy-distance and greedy-priority-distance routes when
+    the caller has them already; they are built here otherwise. Used as an
+    optional cap on the source's admissible positions; it can cut off
+    optima, which is why only heuristic mode may apply it.
     """
-    gid = greedy_distance(instance, index)
-    gipd = greedy_priority_distance(instance, index)
-    src = instance.source
-    return max(gid.order.index(src), gipd.order.index(src)) + 1
-
-
-def _check_partial(n: int, order: Sequence[int]) -> None:
-    seen = set()
-    for v in order:
-        if not 1 <= v <= n or v in seen:
-            raise ValueError(f"path is not duplicate-free over 1..{n}: {tuple(order)}")
-        seen.add(v)
+    if tours is None:
+        tours = (
+            greedy_distance(instance, index),
+            greedy_priority_distance(instance, index),
+        )
+    return max(route.order.index(instance.source) for route in tours) + 1
 
 
 def _forward_order(label: Label) -> Tuple[int, ...]:
@@ -215,20 +223,9 @@ def solve(
 
     travel = instance.travel
     full = (1 << n) - 1
-    ancestors = index.ancestors
-    w_memo: Dict[int, int] = {0: n, full: 0}
+    wcount = make_disrupted_counter(index)
 
-    def wcount(mask: int) -> int:
-        v = w_memo.get(mask)
-        if v is None:
-            v = 0
-            for a in ancestors:
-                if a & mask != a:
-                    v += 1
-            w_memo[mask] = v
-        return v
-
-    # Pre-processing: greedy incumbent, position caps.
+    # Pre-processing: greedy incumbent and the optional source cap.
     gid = greedy_distance(instance, index)
     gipd = greedy_priority_distance(instance, index)
     incumbent = min((gid, gipd), key=lambda rt: (rt.objective, rt.order))
@@ -237,22 +234,10 @@ def solve(
 
     source_cap = n
     if cfg.use_heuristic_source_beta:
-        src = instance.source
-        source_cap = max(gid.order.index(src), gipd.order.index(src)) + 1
+        source_cap = heuristic_source_beta(instance, index, (gid, gipd))
+    source_bit = 1 << (instance.source - 1)
 
     table = build_bounds_table(instance, index)
-
-    def refreshed_beta() -> List[int]:
-        if not cfg.use_position_filter:
-            return [n] * n
-        b = compute_beta(table, ub)
-        if source_cap < b[instance.source - 1]:
-            b[instance.source - 1] = source_cap
-        return b
-
-    beta = refreshed_beta()
-    table.beta = beta
-
     s1 = table.sorted_arcs[0]
     out_tail = table.outgoing_tail
     ret_tail = table.return_tail
@@ -275,6 +260,16 @@ def solve(
         if dominance:
             return store.values()
         return (lab for bucket in store.values() for lab in bucket)
+
+    def allowed_at(position, store):
+        """Mask of the vertices a label may add at a tour position, and the
+        number of source-cap prunes: one per label that lacks the source
+        once the position is past the cap."""
+        if position <= source_cap:
+            return full, 0
+        return full ^ source_bit, sum(
+            1 for lab in store_labels(store) if not lab[1] & source_bit
+        )
 
     def merge(store, key, lab, reconstruct):
         """Keep the best label per configuration; ties keep the smaller order."""
@@ -309,19 +304,17 @@ def solve(
 
         if level < bwd_levels:
             nxt_b: Dict[int, object] = {}
-            position = n - level  # slot the prepended vertex takes in the tour
+            # n - level is the slot the prepended vertex takes in the tour.
+            allowed, st["bwd_pruned_beta"] = allowed_at(n - level, cur_b)
             base_bound = ret_tail[new_size]
             for lab in store_labels(cur_b):
                 value, mask, start, _ = lab
                 w = wcount(full ^ mask)
-                rem = full & ~mask
+                rem = allowed & ~mask
                 while rem:
                     low = rem & -rem
                     rem ^= low
                     v = low.bit_length()
-                    if beta[v - 1] < position:
-                        st["bwd_pruned_beta"] += 1
-                        continue
                     new_value = value + w * travel[v][start]
                     if use_bounds and (base_bound + new_value) * 100 > threshold:
                         st["bwd_pruned_bound"] += 1
@@ -340,19 +333,16 @@ def solve(
 
         if level < fwd_levels:
             nxt_f: Dict[int, object] = {}
-            min_beta = level + 1 if cfg.strict_position_filter else level
+            allowed, st["fwd_pruned_beta"] = allowed_at(level + 1, cur_f)
             for lab in store_labels(cur_f):
                 value, mask, endpoint, _ = lab
                 w = wcount(mask)
                 row = travel[endpoint]
-                rem = full & ~mask
+                rem = allowed & ~mask
                 while rem:
                     low = rem & -rem
                     rem ^= low
                     v = low.bit_length()
-                    if beta[v - 1] < min_beta:
-                        st["fwd_pruned_beta"] += 1
-                        continue
                     new_mask = mask | low
                     new_value = value + w * row[v]
                     if use_bounds:
@@ -384,21 +374,16 @@ def solve(
             break
 
         # Refresh the incumbent by greedily completing the best new
-        # outgoing labels, then retighten the position caps if it improved.
+        # outgoing labels.
         if level < fwd_levels and cfg.ub_refresh_width > 0 and cur_f:
             best_labels = heapq.nsmallest(
                 cfg.ub_refresh_width, store_labels(cur_f), key=lambda lb: lb[0]
             )
-            improved = False
             for lab in best_labels:
                 route = greedy_complete(instance, index, _forward_order(lab))
                 if route.objective < ub:
                     ub = route.objective
                     inc_order = route.order
-                    improved = True
-            if improved:
-                beta = refreshed_beta()
-                table.beta = beta
 
         u_trajectory.append(ub)
         level_stats.append(st)
@@ -458,13 +443,11 @@ def solve(
         "mode": cfg.mode,
         "theta": cfg.theta,
         "delta": cfg.delta,
-        "threads": cfg.threads,
         "initial_upper_bound": u_trajectory[0],
         "u_trajectory": u_trajectory,
         "levels": level_stats,
         "labels_total": labels_total,
         "join_candidates": join_candidates,
-        "beta": list(beta),
         "time_limit_reached": timed_out,
         "labels_cap_reached": cap_hit,
         "wall_time_sec": wall,

@@ -8,7 +8,7 @@ inequality). Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .instance import Instance
@@ -23,9 +23,7 @@ class BoundsTable:
     prefix_plain[j] is the sum of the j shortest arcs; prefix_weighted[j]
     weights arc p by (n-p+1), defined for j <= n. outgoing_tail[k] and
     return_tail[k] are the position-independent parts of the two path
-    bounds for a partial path holding k vertices. beta[i-1] is the largest
-    position vertex i may take; it starts at n and is recomputed between
-    solver levels as the upper bound improves.
+    bounds for a partial path holding k vertices.
     """
 
     n: int
@@ -35,7 +33,6 @@ class BoundsTable:
     outgoing_tail: Tuple[int, ...]
     return_tail: Tuple[int, ...]
     successor_count: Tuple[int, ...]
-    beta: List[int] = field(default_factory=list)
 
 
 def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTable:
@@ -71,7 +68,6 @@ def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTabl
         outgoing_tail=tuple(outgoing_tail),
         return_tail=tuple(return_tail),
         successor_count=index.successor_count,
-        beta=[n] * n,
     )
 
 

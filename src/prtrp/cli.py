@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -28,16 +27,6 @@ EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_ENGINE_LIMIT = 3
-
-
-def _threads_default() -> int:
-    env = os.environ.get("PRTRP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _load_instance(path: str) -> Instance:
@@ -67,10 +56,8 @@ def _solver_config(args, method: str) -> bidp.SolverConfig:
         delta=delta,
         use_heuristic_source_beta=hsb,
         ub_refresh_width=getattr(args, "ub_refresh", 32),
-        strict_position_filter=getattr(args, "strict_position_filter", False),
         labels_cap=getattr(args, "labels_cap", None),
         time_limit=getattr(args, "time_limit", None),
-        threads=getattr(args, "threads", 1),
     )
 
 
@@ -126,7 +113,6 @@ def cmd_solve(args) -> int:
             "ub_refresh": config.ub_refresh_width,
             "labels_cap": config.labels_cap,
             "time_limit": config.time_limit,
-            "threads": config.threads,
         },
         "stats": _strip_timing(stats) if args.no_timing else stats,
     }
@@ -195,8 +181,6 @@ def cmd_bench(args) -> int:
                 ub_refresh=args.ub_refresh,
                 labels_cap=args.labels_cap,
                 time_limit=args.time_limit,
-                threads=args.threads,
-                strict_position_filter=False,
             )
             start = time.perf_counter()
             try:
@@ -412,13 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="greedy completions per level for the upper bound")
         p.add_argument("--labels-cap", type=int, default=None, dest="labels_cap",
                        help="abort when the label store exceeds this size")
-        p.add_argument("--strict-position-filter", action="store_true",
-                       dest="strict_position_filter",
-                       help="use the tighter forward position filter")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
                        help="seconds before falling back to the incumbent")
-        p.add_argument("--threads", type=int, default=_threads_default(),
-                       help="worker cap (PRTRP_THREADS is the fallback)")
         p.add_argument("--no-timing", action="store_true", dest="no_timing",
                        help="omit wall times for byte-stable output")
 
@@ -442,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ub-refresh", type=int, default=32, dest="ub_refresh")
     p_bench.add_argument("--labels-cap", type=int, default=None, dest="labels_cap")
     p_bench.add_argument("--time-limit", type=float, default=None, dest="time_limit")
-    p_bench.add_argument("--threads", type=int, default=_threads_default())
     p_bench.add_argument("--no-timing", action="store_true", dest="no_timing")
     p_bench.set_defaults(func=cmd_bench)
 

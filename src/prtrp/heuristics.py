@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from .instance import Instance, Route
-from .power_eval import PrecedenceIndex, evaluate_route
+from .power_eval import PrecedenceIndex, check_partial, evaluate_route
 
 
 def _greedy_extend(instance: Instance, start: Sequence[int]) -> Tuple[int, ...]:
@@ -62,9 +62,5 @@ def greedy_complete(
     instance: Instance, index: PrecedenceIndex, prefix: Sequence[int]
 ) -> Route:
     """Complete a duplicate-free outgoing prefix by the nearest-first rule."""
-    seen = set()
-    for v in prefix:
-        if not 1 <= v <= instance.n or v in seen:
-            raise ValueError(f"prefix is not duplicate-free over 1..{instance.n}")
-        seen.add(v)
+    check_partial(instance.n, prefix)
     return evaluate_route(instance, index, _greedy_extend(instance, prefix))

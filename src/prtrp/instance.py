@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 # Travel times and absorbed durations must stay inside a signed 64-bit word
 # so that exact integer comparisons stay portable.
@@ -64,6 +64,10 @@ class Route:
     t: Tuple[int, ...]
 
 
+def _not_int(value, where: str) -> NoReturn:
+    raise ValueError(f"{where} must be an integer, got {value!r}")
+
+
 def make_instance(
     name: str,
     travel: Sequence[Sequence[int]],
@@ -72,17 +76,35 @@ def make_instance(
     repair_duration: Optional[Sequence[int]] = None,
     meta: Optional[Dict[str, object]] = None,
 ) -> Instance:
-    """Build an Instance from plain containers (no validation)."""
+    """Build an Instance from plain containers.
+
+    Every number must already be an int: floats, booleans and strings are
+    rejected with ValueError rather than truncated or coerced. The
+    structure is not validated.
+    """
     n = len(travel) - 1
     if repair_duration is None:
         repair_duration = (0,) * n
     return Instance(
         name=name,
         n=n,
-        travel=tuple(tuple(int(x) for x in row) for row in travel),
-        power_parent={int(c): int(p) for c, p in power_parent.items()},
-        source=int(source),
-        repair_duration=tuple(int(p) for p in repair_duration),
+        travel=tuple(
+            tuple(
+                x if type(x) is int else _not_int(x, f"every value in travel row {i}")
+                for x in row
+            )
+            for i, row in enumerate(travel)
+        ),
+        power_parent={
+            c if type(c) is int else _not_int(c, "power edge child"):
+            p if type(p) is int else _not_int(p, f"power parent of {c}")
+            for c, p in power_parent.items()
+        },
+        source=source if type(source) is int else _not_int(source, "source"),
+        repair_duration=tuple(
+            p if type(p) is int else _not_int(p, "repair duration")
+            for p in repair_duration
+        ),
         meta=dict(meta or {}),
     )
 
@@ -303,14 +325,24 @@ def from_dict(data: Dict[str, object]) -> Instance:
     ]
     if missing:
         raise ValueError(f"instance data missing keys: {', '.join(missing)}")
-    parent = {int(c): int(p) for p, c in data["power_edges"]}
-    return make_instance(
+    parent = {}
+    for p, c in data["power_edges"]:
+        if c in parent:
+            raise ValueError(f"power_edges name child {c!r} more than once")
+        parent[c] = p
+    inst = make_instance(
         name=str(data["name"]),
         travel=data["travel"],
         power_parent=parent,
         source=data["source"],
         repair_duration=data["repair_durations"],
     )
+    if type(data["n"]) is not int or data["n"] != inst.n:
+        raise ValueError(
+            f"declared n must be {inst.n}, as the {inst.n + 1}-row travel "
+            f"matrix implies, got {data['n']!r}"
+        )
+    return inst
 
 
 def dumps(instance: Instance) -> str:

@@ -79,8 +79,8 @@ def disrupted_count(index: PrecedenceIndex, repaired: int) -> int:
 def make_disrupted_counter(index: PrecedenceIndex) -> Callable[[int], int]:
     """Memoized disrupted_count for hot loops.
 
-    The memo is a plain dict: create one counter per thread. Values never
-    depend on what was cached before.
+    Each counter owns its memo, so its memory lives as long as the counter.
+    Values never depend on what was cached before.
     """
     ancestors = index.ancestors
     n = index.n
@@ -97,6 +97,15 @@ def make_disrupted_counter(index: PrecedenceIndex) -> Callable[[int], int]:
         return v
 
     return count
+
+
+def check_partial(n: int, order: Sequence[int]) -> None:
+    """Reject a partial visiting order that repeats or leaves 1..n."""
+    seen = set()
+    for v in order:
+        if not 1 <= v <= n or v in seen:
+            raise ValueError(f"path is not duplicate-free over 1..{n}: {tuple(order)}")
+        seen.add(v)
 
 
 def evaluate_route(

@@ -31,9 +31,6 @@ class TestTable:
         for j in range(1, len(star_table.sorted_arcs) + 1):
             assert star_table.prefix_plain[j] == sum(star_table.sorted_arcs[:j])
 
-    def test_initial_beta_is_open(self, star_table):
-        assert star_table.beta == [3, 3, 3]
-
 
 class TestPositionLowerBound:
     def test_star_source_values(self, star_table):

@@ -64,6 +64,29 @@ class TestSolve:
         assert code == 2
         assert "negative travel time" in err
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n", 7, "declared n must be 3"),
+            ("power_edges", [[1, 2], [1, 3], [2, 3]], "child 3 more than once"),
+            ("travel", [[0, 1.7, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]],
+             "got 1.7"),
+            ("source", True, "source must be an integer"),
+            ("repair_durations", [0, 0.5, 0], "repair duration must be an integer"),
+        ],
+    )
+    def test_malformed_instance_exits_2_with_report(
+        self, capsys, tmp_path, star, key, value, message
+    ):
+        data = json.loads(inst_mod.dumps(star))
+        data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, ["solve", str(path)])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_missing_keys_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"name": "x", "n": 2}')
@@ -93,19 +116,12 @@ class TestSolve:
         code, out, _ = run_cli(
             capsys,
             ["solve", star_file, "--theta", "0.8", "--delta", "0.01",
-             "--heuristic-source-beta", "--threads", "4"],
+             "--heuristic-source-beta"],
         )
         assert code == 0
         record = json.loads(out)
         assert record["proven_optimal"] is False
         assert record["config"]["theta"] == 0.8
-        assert record["config"]["threads"] == 4
-
-    def test_threads_env_fallback(self, capsys, star_file, monkeypatch):
-        monkeypatch.setenv("PRTRP_THREADS", "5")
-        code, out, _ = run_cli(capsys, ["solve", star_file])
-        assert code == 0
-        assert json.loads(out)["config"]["threads"] == 5
 
     def test_durations_are_absorbed_before_solving(self, capsys, tmp_path, star):
         data = json.loads(inst_mod.dumps(star))
