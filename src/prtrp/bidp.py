@@ -6,12 +6,15 @@ configuration (visited mask, junction-side endpoint); within one store only
 the best value per configuration survives, since any completion of one path
 completes every path sharing its configuration. New labels are screened
 against path lower bounds relative to the incumbent upper bound, which is
-refreshed each level by greedily completing the best outgoing labels. The
-two frontiers meet in the middle: a forward and a backward label join when
-they overlap exactly in the forward endpoint and cover everything between
-them. The per-vertex position thresholds of bounds.compute_beta are not
-applied during the search; they form the threshold table `prtrp bounds`
-prints.
+refreshed each level by greedily completing the best outgoing labels. A
+forward and a backward label join when they overlap exactly in the forward
+endpoint and cover everything between them. By default the frontiers meet
+at the forward end: the forward side runs all n levels and the backward
+side only supplies the final leg into the depot, because the return-path
+bound is too weak to hold a deep backward frontier down. The paper's
+midpoint split stays available as SolverConfig(meet="midpoint"). The
+per-vertex position thresholds of bounds.compute_beta are not applied
+during the search; they form the threshold table `prtrp bounds` prints.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -42,6 +45,16 @@ from .power_eval import (
 EXACT = "exact"
 HEURISTIC = "heuristic"
 
+# Meet points: the forward side takes every level, or the two sides split
+# the tour at its midpoint.
+FORWARD = "forward"
+MIDPOINT = "midpoint"
+MEETS = (FORWARD, MIDPOINT)
+
+# Parent labels expanded between two checks of the label cap and the
+# deadline inside a level.
+LIMIT_CHECK_EVERY = 256
+
 # Masks are machine words with bit v-1 per vertex; 6 low bits of a store key
 # hold the endpoint, so 63 fault vertices is the hard ceiling.
 ENGINE_VERTEX_LIMIT = 63
@@ -64,7 +77,11 @@ class SolverConfig:
     the source out of every position past heuristic_source_beta. Exact
     mode requires theta=1, delta=0 and no heuristic source position.
     use_dominance and use_path_bounds switch the two prunings off, which
-    leaves an unpruned reference search for tests.
+    leaves an unpruned reference search for tests. meet picks where the two
+    frontiers join: "forward" extends outgoing paths over all n levels and
+    keeps only the final leg into the depot on the backward side;
+    "midpoint" is the paper's split, half the tour on each side. Both are
+    exact; relaxed acceptance prunes differently under each.
     """
 
     mode: str = EXACT
@@ -76,6 +93,7 @@ class SolverConfig:
     use_path_bounds: bool = True
     labels_cap: Optional[int] = None
     time_limit: Optional[float] = None
+    meet: str = FORWARD
 
     def __post_init__(self):
         if self.mode not in (EXACT, HEURISTIC):
@@ -92,6 +110,8 @@ class SolverConfig:
             )
         if self.ub_refresh_width < 0:
             raise ValueError("ub_refresh_width must be >= 0")
+        if self.meet not in MEETS:
+            raise ValueError(f"meet must be one of {', '.join(MEETS)}")
 
     @property
     def theta_pct(self) -> int:
@@ -203,8 +223,9 @@ def solve(
 
     Exact mode returns a provably optimal route. Heuristic mode (theta < 1,
     delta > 0 or the heuristic source position cap) returns the best route
-    found with proven_optimal False. A time limit, checked between levels,
-    falls back to the incumbent greedy-completed route.
+    found with proven_optimal False. A passed time limit falls back to the
+    incumbent greedy-completed route; so does a passed label cap in
+    heuristic mode, while exact mode raises EngineLimitError.
     """
     cfg = config or SolverConfig()
     n = instance.n
@@ -246,8 +267,11 @@ def solve(
     use_bounds = cfg.use_path_bounds
     dominance = cfg.use_dominance
 
-    fwd_levels = (n + 1) // 2
-    bwd_levels = fwd_levels if n % 2 == 1 else fwd_levels + 1
+    # Levels per side: together they place n vertices plus the shared
+    # junction vertex. The forward meet leaves the backward side only its
+    # first level, the final leg into the depot.
+    fwd_levels = n if cfg.meet == FORWARD else (n + 1) // 2
+    bwd_levels = n + 1 - fwd_levels
 
     if dominance:
         cur_f: Dict[int, object] = {0: _DEPOT_LABEL}
@@ -271,15 +295,17 @@ def solve(
             1 for lab in store_labels(store) if not lab[1] & source_bit
         )
 
-    def merge(store, key, lab, reconstruct):
-        """Keep the best label per configuration; ties keep the smaller order."""
-        old = store.get(key)
-        if old is None:
-            store[key] = lab
-            return 1, 0
-        if lab[0] < old[0] or (lab[0] == old[0] and reconstruct(lab) < reconstruct(old)):
-            store[key] = lab
-        return 0, 1
+    labels_cap = cfg.labels_cap
+
+    def limit_reached(labels):
+        """True once labels exceed the cap or the deadline has passed;
+        records which in cap_hit / timed_out."""
+        nonlocal cap_hit, timed_out
+        if labels_cap is not None and labels > labels_cap:
+            cap_hit = True
+        elif deadline is not None and time.perf_counter() > deadline:
+            timed_out = True
+        return cap_hit or timed_out
 
     labels_total = 2
     level_stats: List[Dict[str, int]] = []
@@ -289,25 +315,19 @@ def solve(
 
     for level in range(max(fwd_levels, bwd_levels)):
         threshold = (theta_pct + level * delta_pct) * ub
-        st = {
-            "level": level + 1,
-            "fwd_created": 0,
-            "fwd_dominated": 0,
-            "fwd_pruned_bound": 0,
-            "fwd_pruned_beta": 0,
-            "bwd_created": 0,
-            "bwd_dominated": 0,
-            "bwd_pruned_bound": 0,
-            "bwd_pruned_beta": 0,
-        }
         new_size = level + 1
+        # Counters stay in locals: a dict update per candidate is not free.
+        f_created = f_dominated = f_bound = f_beta = 0
+        b_created = b_dominated = b_bound = b_beta = 0
 
         if level < bwd_levels:
             nxt_b: Dict[int, object] = {}
             # n - level is the slot the prepended vertex takes in the tour.
-            allowed, st["bwd_pruned_beta"] = allowed_at(n - level, cur_b)
+            allowed, b_beta = allowed_at(n - level, cur_b)
             base_bound = ret_tail[new_size]
-            for lab in store_labels(cur_b):
+            for i, lab in enumerate(store_labels(cur_b)):
+                if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + b_created):
+                    break
                 value, mask, start, _ = lab
                 w = wcount(full ^ mask)
                 rem = allowed & ~mask
@@ -317,24 +337,38 @@ def solve(
                     v = low.bit_length()
                     new_value = value + w * travel[v][start]
                     if use_bounds and (base_bound + new_value) * 100 > threshold:
-                        st["bwd_pruned_bound"] += 1
+                        b_bound += 1
                         continue
-                    new_lab = (new_value, mask | low, v, lab)
-                    if dominance:
-                        created, merged = merge(
-                            nxt_b, ((mask | low) << 6) | v, new_lab, _backward_order
-                        )
-                        st["bwd_created"] += created
-                        st["bwd_dominated"] += merged
-                    else:
-                        nxt_b.setdefault(((mask | low) << 6) | v, []).append(new_lab)
-                        st["bwd_created"] += 1
+                    new_mask = mask | low
+                    key = (new_mask << 6) | v
+                    if not dominance:
+                        nxt_b.setdefault(key, []).append((new_value, new_mask, v, lab))
+                        b_created += 1
+                        continue
+                    old = nxt_b.get(key)
+                    if old is None:
+                        nxt_b[key] = (new_value, new_mask, v, lab)
+                        b_created += 1
+                        continue
+                    # Keep the best label per configuration; on a tie the
+                    # smaller order. Both start at v, so the parents decide.
+                    b_dominated += 1
+                    if new_value < old[0] or (
+                        new_value == old[0]
+                        and _backward_order(lab) < _backward_order(old[3])
+                    ):
+                        nxt_b[key] = (new_value, new_mask, v, lab)
             cur_b = nxt_b
 
-        if level < fwd_levels:
+        if level < fwd_levels and not (cap_hit or timed_out):
             nxt_f: Dict[int, object] = {}
-            allowed, st["fwd_pruned_beta"] = allowed_at(level + 1, cur_f)
-            for lab in store_labels(cur_f):
+            allowed, f_beta = allowed_at(level + 1, cur_f)
+            tail = out_tail[new_size]
+            for i, lab in enumerate(store_labels(cur_f)):
+                if not i % LIMIT_CHECK_EVERY and limit_reached(
+                    labels_total + b_created + f_created
+                ):
+                    break
                 value, mask, endpoint, _ = lab
                 w = wcount(mask)
                 row = travel[endpoint]
@@ -345,32 +379,51 @@ def solve(
                     v = low.bit_length()
                     new_mask = mask | low
                     new_value = value + w * row[v]
-                    if use_bounds:
-                        lb = new_value + wcount(new_mask) * s1 + out_tail[new_size]
-                        if lb * 100 > threshold:
-                            st["fwd_pruned_bound"] += 1
-                            continue
-                    new_lab = (new_value, new_mask, v, lab)
-                    if dominance:
-                        created, merged = merge(
-                            nxt_f, (new_mask << 6) | v, new_lab, _forward_order
-                        )
-                        st["fwd_created"] += created
-                        st["fwd_dominated"] += merged
-                    else:
-                        nxt_f.setdefault((new_mask << 6) | v, []).append(new_lab)
-                        st["fwd_created"] += 1
+                    if use_bounds and (
+                        new_value + wcount(new_mask) * s1 + tail
+                    ) * 100 > threshold:
+                        f_bound += 1
+                        continue
+                    key = (new_mask << 6) | v
+                    if not dominance:
+                        nxt_f.setdefault(key, []).append((new_value, new_mask, v, lab))
+                        f_created += 1
+                        continue
+                    old = nxt_f.get(key)
+                    if old is None:
+                        nxt_f[key] = (new_value, new_mask, v, lab)
+                        f_created += 1
+                        continue
+                    # Both end at v, so on a value tie the parents' orders
+                    # decide which order is smaller.
+                    f_dominated += 1
+                    if new_value < old[0] or (
+                        new_value == old[0]
+                        and _forward_order(lab) < _forward_order(old[3])
+                    ):
+                        nxt_f[key] = (new_value, new_mask, v, lab)
             cur_f = nxt_f
 
-        labels_total += st["fwd_created"] + st["bwd_created"]
-        if cfg.labels_cap is not None and labels_total > cfg.labels_cap:
-            if cfg.mode == EXACT:
-                raise EngineLimitError(
-                    f"label cap {cfg.labels_cap} exceeded at level {level + 1} "
-                    f"({labels_total} labels); raise the cap or use heuristic mode"
-                )
+        labels_total += f_created + b_created
+        level_stats.append({
+            "level": level + 1,
+            "fwd_created": f_created,
+            "fwd_dominated": f_dominated,
+            "fwd_pruned_bound": f_bound,
+            "fwd_pruned_beta": f_beta,
+            "bwd_created": b_created,
+            "bwd_dominated": b_dominated,
+            "bwd_pruned_bound": b_bound,
+            "bwd_pruned_beta": b_beta,
+        })
+        if labels_cap is not None and labels_total > labels_cap:
             cap_hit = True
-            level_stats.append(st)
+        if cap_hit and cfg.mode == EXACT:
+            raise EngineLimitError(
+                f"label cap {labels_cap} exceeded at level {level + 1} "
+                f"({labels_total} labels); raise the cap or use heuristic mode"
+            )
+        if cap_hit or timed_out:
             break
 
         # Refresh the incumbent by greedily completing the best new
@@ -386,7 +439,6 @@ def solve(
                     inc_order = route.order
 
         u_trajectory.append(ub)
-        level_stats.append(st)
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             break

@@ -68,6 +68,10 @@ def _not_int(value, where: str) -> NoReturn:
     raise ValueError(f"{where} must be an integer, got {value!r}")
 
 
+def _is_list(value) -> bool:
+    return isinstance(value, (list, tuple))
+
+
 def make_instance(
     name: str,
     travel: Sequence[Sequence[int]],
@@ -79,9 +83,14 @@ def make_instance(
     """Build an Instance from plain containers.
 
     Every number must already be an int: floats, booleans and strings are
-    rejected with ValueError rather than truncated or coerced. The
-    structure is not validated.
+    rejected with ValueError rather than truncated or coerced, and so is a
+    travel matrix or duration list that is not a list of lists or a list.
+    The structure is not validated.
     """
+    if not _is_list(travel) or not all(_is_list(row) for row in travel):
+        raise ValueError("travel must be a list of rows, each a list of integers")
+    if repair_duration is not None and not _is_list(repair_duration):
+        raise ValueError("repair durations must be a list of integers")
     n = len(travel) - 1
     if repair_duration is None:
         repair_duration = (0,) * n
@@ -318,6 +327,8 @@ def to_dict(instance: Instance) -> Dict[str, object]:
 
 
 def from_dict(data: Dict[str, object]) -> Instance:
+    if not isinstance(data, dict):
+        raise ValueError("instance data must be a JSON object")
     missing = [
         k
         for k in ("name", "n", "source", "power_edges", "travel", "repair_durations")
@@ -325,8 +336,20 @@ def from_dict(data: Dict[str, object]) -> Instance:
     ]
     if missing:
         raise ValueError(f"instance data missing keys: {', '.join(missing)}")
+    edges = data["power_edges"]
+    if not _is_list(edges):
+        raise ValueError("power_edges must be a list of [parent, child] pairs")
     parent = {}
-    for p, c in data["power_edges"]:
+    for edge in edges:
+        if not (
+            _is_list(edge) and len(edge) == 2
+            and type(edge[0]) is int and type(edge[1]) is int
+        ):
+            raise ValueError(
+                f"every power edge must be a [parent, child] pair of integers, "
+                f"got {edge!r}"
+            )
+        p, c = edge
         if c in parent:
             raise ValueError(f"power_edges name child {c!r} more than once")
         parent[c] = p

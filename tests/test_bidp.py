@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -9,11 +10,14 @@ from prtrp import (
     build_index,
     evaluate_route,
     generate_random,
+    generate_star_reduction,
     solve,
 )
+from prtrp import bidp
 from prtrp.bidp import (
     EXACT,
     HEURISTIC,
+    MIDPOINT,
     backward_value,
     forward_value,
     heuristic_source_beta,
@@ -82,6 +86,10 @@ class TestSolverConfig:
         cfg = SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.01)
         assert cfg.theta_pct == 80
         assert cfg.delta_pct == 1
+
+    def test_rejects_unknown_meet(self):
+        with pytest.raises(ValueError, match="meet"):
+            SolverConfig(meet="middle")
 
 
 class TestSolveExact:
@@ -247,6 +255,59 @@ class TestSolveVariants:
         assert not report.proven_optimal
         assert report.stats["time_limit_reached"]
 
+    def test_labels_cap_stops_inside_a_level(self):
+        inst = generate_random(12, seed=2700)
+        full = solve(inst).stats["levels"]
+        created = [st["fwd_created"] + st["bwd_created"] for st in full]
+        # One label past level 4; level 5 expands over a thousand parents,
+        # so the cap is crossed long before that level ends.
+        cap = 2 + sum(created[:4]) + 1
+        after_level_5 = cap - 1 + created[4]
+        report = solve(inst, SolverConfig(mode=HEURISTIC, labels_cap=cap))
+        levels = report.stats["levels"]
+        assert report.stats["labels_cap_reached"]
+        assert not report.proven_optimal
+        assert len(levels) == 5
+        assert 0 < levels[-1]["fwd_created"] < full[4]["fwd_created"]
+        assert report.stats["labels_total"] < after_level_5
+        with pytest.raises(EngineLimitError, match=r"at level 5 \((\d+) labels\)") as exc:
+            solve(inst, SolverConfig(labels_cap=cap))
+        stopped_at = int(re.search(r"\((\d+) labels\)", str(exc.value)).group(1))
+        assert cap < stopped_at < after_level_5
+
+    def test_time_limit_stops_inside_a_level(self, monkeypatch):
+        inst = generate_random(12, seed=2700)
+        real_counter = bidp.make_disrupted_counter
+        calls = 0
+
+        def counting_counter(index):
+            count = real_counter(index)
+
+            def counted(mask):
+                nonlocal calls
+                calls += 1
+                return count(mask)
+
+            return counted
+
+        monkeypatch.setattr(bidp, "make_disrupted_counter", counting_counter)
+        full = solve(inst).stats["levels"]
+        # The clock jumps past the deadline halfway through the label
+        # expansions, which falls inside one of the large middle levels.
+        flip_at, calls = calls // 2, 0
+        with monkeypatch.context() as m:
+            m.setattr(bidp.time, "perf_counter",
+                      lambda: 1e9 if calls >= flip_at else 0.0)
+            report = solve(inst, SolverConfig(mode=HEURISTIC, time_limit=1.0))
+        levels = report.stats["levels"]
+        assert report.stats["time_limit_reached"]
+        assert not report.proven_optimal
+        stopped = levels[-1]
+        assert 0 < stopped["fwd_created"] < full[len(levels) - 1]["fwd_created"]
+        index = build_index(inst)
+        assert evaluate_route(inst, index, report.route.order).objective == \
+            report.objective
+
     def test_ub_refresh_zero_still_exact(self):
         for k in range(8):
             inst = generate_random(6, seed=2800 + k)
@@ -299,3 +360,48 @@ class TestReportShape:
             assert key in level
         assert stats["wall_time_sec"] >= 0
         assert report.route.objective == report.objective
+
+
+class TestMeet:
+    def test_meets_agree_on_uniform_and_star_trees(self):
+        for n in (12, 13):
+            base = generate_random(n, seed=3100 + n)
+            star = generate_star_reduction(base.travel, name=f"star-n{n}")
+            for inst in (base, star):
+                index = build_index(inst)
+                fwd = solve(inst, index=index)
+                mid = solve(inst, SolverConfig(meet=MIDPOINT), index)
+                assert fwd.objective == mid.objective, inst.name
+                assert fwd.route.order == mid.route.order, inst.name
+                assert fwd.proven_optimal and mid.proven_optimal
+
+    def test_midpoint_level_counts_are_pinned(self):
+        # Per-level (fwd created, dominated, pruned by bound; bwd created,
+        # dominated, pruned by bound) of the midpoint split, recorded before
+        # the meet point became a setting; n=10 gives the backward side one
+        # level more than the forward side.
+        pinned = [
+            (10, 0, 0, 10, 0, 0),
+            (74, 0, 16, 90, 0, 0),
+            (209, 140, 243, 359, 326, 35),
+            (343, 332, 788, 830, 1412, 271),
+            (270, 276, 1512, 1217, 2737, 1026),
+            (0, 0, 0, 1193, 3085, 1807),
+        ]
+        report = solve(generate_random(10, seed=5), SolverConfig(meet=MIDPOINT))
+        keys = ("fwd_created", "fwd_dominated", "fwd_pruned_bound",
+                "bwd_created", "bwd_dominated", "bwd_pruned_bound")
+        levels = report.stats["levels"]
+        assert [tuple(st[k] for k in keys) for st in levels] == pinned
+        assert all(st["fwd_pruned_beta"] == st["bwd_pruned_beta"] == 0 for st in levels)
+        assert report.stats["labels_total"] == 4607
+        assert report.stats["join_candidates"] == 254
+        assert report.objective == 16115
+
+    def test_forward_meet_builds_one_backward_level(self):
+        report = solve(generate_random(10, seed=5))
+        levels = report.stats["levels"]
+        assert len(levels) == 10
+        assert levels[0]["bwd_created"] == 10
+        assert all(st["bwd_created"] == 0 for st in levels[1:])
+        assert report.objective == 16115

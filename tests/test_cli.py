@@ -73,6 +73,11 @@ class TestSolve:
              "got 1.7"),
             ("source", True, "source must be an integer"),
             ("repair_durations", [0, 0.5, 0], "repair duration must be an integer"),
+            ("travel", 5, "travel must be a list of rows"),
+            ("travel", [[0, 1, 2, 3], 5, [2, 1, 0, 1], [3, 2, 1, 0]],
+             "travel must be a list of rows"),
+            ("power_edges", 7, "power_edges must be a list"),
+            ("power_edges", [[1, [2]], [1, 3]], "got [1, [2]]"),
         ],
     )
     def test_malformed_instance_exits_2_with_report(
@@ -123,6 +128,17 @@ class TestSolve:
         assert record["proven_optimal"] is False
         assert record["config"]["theta"] == 0.8
 
+    def test_meet_is_echoed(self, capsys, tmp_path):
+        path = str(inst_mod.save(generate_random(8, seed=12), tmp_path / "i.json"))
+        records = {}
+        for argv, meet in (([], "forward"), (["--meet", "midpoint"], "midpoint")):
+            code, out, _ = run_cli(capsys, ["solve", path, "--no-timing", *argv])
+            assert code == 0
+            records[meet] = json.loads(out)
+            assert records[meet]["config"]["meet"] == meet
+            assert records[meet]["proven_optimal"] is True
+        assert records["forward"]["order"] == records["midpoint"]["order"]
+
     def test_durations_are_absorbed_before_solving(self, capsys, tmp_path, star):
         data = json.loads(inst_mod.dumps(star))
         data["repair_durations"] = [5, 0, 0]
@@ -157,6 +173,14 @@ class TestBench:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
+
+    def test_meet_leaves_exact_rows_unchanged(self, capsys):
+        argv = ["bench", "--n", "7", "--count", "2", "--seed", "5",
+                "--methods", "gid,bidp", "--no-timing"]
+        _, forward, _ = run_cli(capsys, argv)
+        code, midpoint, _ = run_cli(capsys, argv + ["--meet", "midpoint"])
+        assert code == 0
+        assert forward == midpoint
 
     def test_directory_input(self, capsys, tmp_path):
         for k in range(2):
