@@ -1,6 +1,6 @@
 """Single-crew repair routing on a radial power distribution network.
 
-Exact bidirectional dynamic programming with proved pruning, greedy and
+Exact labeling dynamic programming with proved pruning, greedy and
 relaxed-bound heuristic modes, brute-force reference solvers, and
 mixed-integer model export.
 """

@@ -1,25 +1,24 @@
-"""Bidirectional label-extension solver.
+"""Label-extension solver.
 
-Forward labels grow outgoing paths from the depot while backward labels
-grow return paths into the depot, level by level. A label is keyed by its
-configuration (visited mask, junction-side endpoint); within one store only
-the best value per configuration survives, since any completion of one path
-completes every path sharing its configuration. New labels are screened
-against path lower bounds relative to the incumbent upper bound, which is
-refreshed each level by greedily completing the best outgoing labels. A
-forward and a backward label join when they overlap exactly in the forward
-endpoint and cover everything between them. By default the frontiers meet
-at the forward end: the forward side runs all n levels and the backward
-side only supplies the final leg into the depot, because the return-path
-bound is too weak to hold a deep backward frontier down. The paper's
-midpoint split stays available as SolverConfig(meet="midpoint"). The
+The paper's method grows outgoing paths from the depot and return paths
+into it, level by level, and joins the two at the midpoint. Here the
+outgoing side takes all n levels: the return-path bound is too weak to hold
+a deep backward frontier down (at n=16 it built 3-27 times as many labels
+as the outgoing side), and the one return leg that is left, from the last
+vertex into the depot, costs nothing because every vertex is then repaired.
+A label is keyed by its configuration (visited mask, endpoint); within one
+level only the best value per configuration survives, since any completion
+of one path completes every path sharing its configuration. New labels are
+screened against path lower bounds relative to the incumbent upper bound,
+which is refreshed each level by greedily completing the best labels. The
 per-vertex position thresholds of bounds.compute_beta are not applied
 during the search; they form the threshold table `prtrp bounds` prints.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
 (theta + level * delta) of the incumbent, trading the guarantee for speed,
-and may cap the source's position by the greedy tours.
+and may cap the source's position by the greedy tours; once it has pruned
+every path, the incumbent is the result.
 """
 
 from __future__ import annotations
@@ -45,12 +44,6 @@ from .power_eval import (
 EXACT = "exact"
 HEURISTIC = "heuristic"
 
-# Meet points: the forward side takes every level, or the two sides split
-# the tour at its midpoint.
-FORWARD = "forward"
-MIDPOINT = "midpoint"
-MEETS = (FORWARD, MIDPOINT)
-
 # Parent labels expanded between two checks of the label cap and the
 # deadline inside a level.
 LIMIT_CHECK_EVERY = 256
@@ -59,11 +52,20 @@ LIMIT_CHECK_EVERY = 256
 # hold the endpoint, so 63 fault vertices is the hard ceiling.
 ENGINE_VERTEX_LIMIT = 63
 
-# A label is (value, visited_mask, endpoint, parent_label). Forward labels
-# point at the last vertex reached; backward labels at the first vertex of
-# the return path. The depot-only label is shared by both directions.
+# A label is (value, visited_mask, endpoint, parent_label); the endpoint is
+# the last vertex reached.
 Label = Tuple[int, int, int, Optional[tuple]]
 _DEPOT_LABEL: Label = (0, 0, 0, None)
+
+# Backward counters of a level that builds no return legs. stats["levels"]
+# keeps the paper's forward and backward columns; perfbench/run.py reads
+# both.
+_NO_RETURN_LEGS = {
+    "bwd_created": 0,
+    "bwd_dominated": 0,
+    "bwd_pruned_bound": 0,
+    "bwd_pruned_beta": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,7 @@ class SolverConfig:
     the source out of every position past heuristic_source_beta. Exact
     mode requires theta=1, delta=0 and no heuristic source position.
     use_dominance and use_path_bounds switch the two prunings off, which
-    leaves an unpruned reference search for tests. meet picks where the two
-    frontiers join: "forward" extends outgoing paths over all n levels and
-    keeps only the final leg into the depot on the backward side;
-    "midpoint" is the paper's split, half the tour on each side. Both are
-    exact; relaxed acceptance prunes differently under each.
+    leaves an unpruned reference search for tests.
     """
 
     mode: str = EXACT
@@ -93,7 +91,6 @@ class SolverConfig:
     use_path_bounds: bool = True
     labels_cap: Optional[int] = None
     time_limit: Optional[float] = None
-    meet: str = FORWARD
 
     def __post_init__(self):
         if self.mode not in (EXACT, HEURISTIC):
@@ -110,8 +107,6 @@ class SolverConfig:
             )
         if self.ub_refresh_width < 0:
             raise ValueError("ub_refresh_width must be >= 0")
-        if self.meet not in MEETS:
-            raise ValueError(f"meet must be one of {', '.join(MEETS)}")
 
     @property
     def theta_pct(self) -> int:
@@ -205,21 +200,12 @@ def _forward_order(label: Label) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def _backward_order(label: Label) -> Tuple[int, ...]:
-    """Return-path order endpoint -> depot encoded by a backward label chain."""
-    out = []
-    while label[3] is not None:
-        out.append(label[2])
-        label = label[3]
-    return tuple(out)
-
-
 def solve(
     instance: Instance,
     config: Optional[SolverConfig] = None,
     index: Optional[PrecedenceIndex] = None,
 ) -> SolveReport:
-    """Run the bidirectional search on a zero-duration instance.
+    """Run the label search on a zero-duration instance.
 
     Exact mode returns a provably optimal route. Heuristic mode (theta < 1,
     delta > 0 or the heuristic source position cap) returns the best route
@@ -261,24 +247,15 @@ def solve(
     table = build_bounds_table(instance, index)
     s1 = table.sorted_arcs[0]
     out_tail = table.outgoing_tail
-    ret_tail = table.return_tail
     theta_pct = cfg.theta_pct
     delta_pct = cfg.delta_pct
     use_bounds = cfg.use_path_bounds
     dominance = cfg.use_dominance
 
-    # Levels per side: together they place n vertices plus the shared
-    # junction vertex. The forward meet leaves the backward side only its
-    # first level, the final leg into the depot.
-    fwd_levels = n if cfg.meet == FORWARD else (n + 1) // 2
-    bwd_levels = n + 1 - fwd_levels
-
     if dominance:
-        cur_f: Dict[int, object] = {0: _DEPOT_LABEL}
-        cur_b: Dict[int, object] = {0: _DEPOT_LABEL}
+        frontier: Dict[int, object] = {0: _DEPOT_LABEL}
     else:
-        cur_f = {0: [_DEPOT_LABEL]}
-        cur_b = {0: [_DEPOT_LABEL]}
+        frontier = {0: [_DEPOT_LABEL]}
 
     def store_labels(store):
         if dominance:
@@ -307,114 +284,72 @@ def solve(
             timed_out = True
         return cap_hit or timed_out
 
-    labels_total = 2
+    # The return legs into the depot, one from each vertex that may come
+    # last, are reported as level 1's backward labels. labels_total also
+    # counts the depot label once per direction.
+    return_legs = dict(_NO_RETURN_LEGS)
+    return_legs["bwd_created"], return_legs["bwd_pruned_beta"] = (
+        (n, 0) if n <= source_cap else (n - 1, 1)
+    )
+    labels_total = 2 + return_legs["bwd_created"]
     level_stats: List[Dict[str, int]] = []
     u_trajectory = [ub]
     timed_out = False
     cap_hit = False
 
-    for level in range(max(fwd_levels, bwd_levels)):
+    for level in range(n):
         threshold = (theta_pct + level * delta_pct) * ub
-        new_size = level + 1
         # Counters stay in locals: a dict update per candidate is not free.
-        f_created = f_dominated = f_bound = f_beta = 0
-        b_created = b_dominated = b_bound = b_beta = 0
-
-        if level < bwd_levels:
-            nxt_b: Dict[int, object] = {}
-            # n - level is the slot the prepended vertex takes in the tour.
-            allowed, b_beta = allowed_at(n - level, cur_b)
-            base_bound = ret_tail[new_size]
-            for i, lab in enumerate(store_labels(cur_b)):
-                if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + b_created):
-                    break
-                value, mask, start, _ = lab
-                w = wcount(full ^ mask)
-                rem = allowed & ~mask
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    v = low.bit_length()
-                    new_value = value + w * travel[v][start]
-                    if use_bounds and (base_bound + new_value) * 100 > threshold:
-                        b_bound += 1
-                        continue
-                    new_mask = mask | low
-                    key = (new_mask << 6) | v
-                    if not dominance:
-                        nxt_b.setdefault(key, []).append((new_value, new_mask, v, lab))
-                        b_created += 1
-                        continue
-                    old = nxt_b.get(key)
-                    if old is None:
-                        nxt_b[key] = (new_value, new_mask, v, lab)
-                        b_created += 1
-                        continue
-                    # Keep the best label per configuration; on a tie the
-                    # smaller order. Both start at v, so the parents decide.
-                    b_dominated += 1
-                    if new_value < old[0] or (
-                        new_value == old[0]
-                        and _backward_order(lab) < _backward_order(old[3])
-                    ):
-                        nxt_b[key] = (new_value, new_mask, v, lab)
-            cur_b = nxt_b
-
-        if level < fwd_levels and not (cap_hit or timed_out):
-            nxt_f: Dict[int, object] = {}
-            allowed, f_beta = allowed_at(level + 1, cur_f)
-            tail = out_tail[new_size]
-            for i, lab in enumerate(store_labels(cur_f)):
-                if not i % LIMIT_CHECK_EVERY and limit_reached(
-                    labels_total + b_created + f_created
+        created = dominated = pruned_bound = 0
+        nxt: Dict[int, object] = {}
+        allowed, pruned_beta = allowed_at(level + 1, frontier)
+        tail = out_tail[level + 1]
+        for i, lab in enumerate(store_labels(frontier)):
+            if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + created):
+                break
+            value, mask, endpoint, _ = lab
+            w = wcount(mask)
+            row = travel[endpoint]
+            rem = allowed & ~mask
+            while rem:
+                low = rem & -rem
+                rem ^= low
+                v = low.bit_length()
+                new_mask = mask | low
+                new_value = value + w * row[v]
+                if use_bounds and (
+                    new_value + wcount(new_mask) * s1 + tail
+                ) * 100 > threshold:
+                    pruned_bound += 1
+                    continue
+                key = (new_mask << 6) | v
+                if not dominance:
+                    nxt.setdefault(key, []).append((new_value, new_mask, v, lab))
+                    created += 1
+                    continue
+                old = nxt.get(key)
+                if old is None:
+                    nxt[key] = (new_value, new_mask, v, lab)
+                    created += 1
+                    continue
+                # Both end at v, so on a value tie the parents' orders
+                # decide which order is smaller.
+                dominated += 1
+                if new_value < old[0] or (
+                    new_value == old[0]
+                    and _forward_order(lab) < _forward_order(old[3])
                 ):
-                    break
-                value, mask, endpoint, _ = lab
-                w = wcount(mask)
-                row = travel[endpoint]
-                rem = allowed & ~mask
-                while rem:
-                    low = rem & -rem
-                    rem ^= low
-                    v = low.bit_length()
-                    new_mask = mask | low
-                    new_value = value + w * row[v]
-                    if use_bounds and (
-                        new_value + wcount(new_mask) * s1 + tail
-                    ) * 100 > threshold:
-                        f_bound += 1
-                        continue
-                    key = (new_mask << 6) | v
-                    if not dominance:
-                        nxt_f.setdefault(key, []).append((new_value, new_mask, v, lab))
-                        f_created += 1
-                        continue
-                    old = nxt_f.get(key)
-                    if old is None:
-                        nxt_f[key] = (new_value, new_mask, v, lab)
-                        f_created += 1
-                        continue
-                    # Both end at v, so on a value tie the parents' orders
-                    # decide which order is smaller.
-                    f_dominated += 1
-                    if new_value < old[0] or (
-                        new_value == old[0]
-                        and _forward_order(lab) < _forward_order(old[3])
-                    ):
-                        nxt_f[key] = (new_value, new_mask, v, lab)
-            cur_f = nxt_f
+                    nxt[key] = (new_value, new_mask, v, lab)
+        frontier = nxt
 
-        labels_total += f_created + b_created
+        labels_total += created
         level_stats.append({
             "level": level + 1,
-            "fwd_created": f_created,
-            "fwd_dominated": f_dominated,
-            "fwd_pruned_bound": f_bound,
-            "fwd_pruned_beta": f_beta,
-            "bwd_created": b_created,
-            "bwd_dominated": b_dominated,
-            "bwd_pruned_bound": b_bound,
-            "bwd_pruned_beta": b_beta,
+            "fwd_created": created,
+            "fwd_dominated": dominated,
+            "fwd_pruned_bound": pruned_bound,
+            "fwd_pruned_beta": pruned_beta,
+            **(return_legs if level == 0 else _NO_RETURN_LEGS),
         })
         if labels_cap is not None and labels_total > labels_cap:
             cap_hit = True
@@ -426,11 +361,10 @@ def solve(
         if cap_hit or timed_out:
             break
 
-        # Refresh the incumbent by greedily completing the best new
-        # outgoing labels.
-        if level < fwd_levels and cfg.ub_refresh_width > 0 and cur_f:
+        # Refresh the incumbent by greedily completing the best new labels.
+        if cfg.ub_refresh_width > 0 and frontier:
             best_labels = heapq.nsmallest(
-                cfg.ub_refresh_width, store_labels(cur_f), key=lambda lb: lb[0]
+                cfg.ub_refresh_width, store_labels(frontier), key=lambda lb: lb[0]
             )
             for lab in best_labels:
                 route = greedy_complete(instance, index, _forward_order(lab))
@@ -439,48 +373,38 @@ def solve(
                     inc_order = route.order
 
         u_trajectory.append(ub)
+        if not frontier:
+            # Relaxed acceptance has pruned every path; no later level can
+            # build a label, so the incumbent is the result.
+            break
         if deadline is not None and time.perf_counter() > deadline:
             timed_out = True
             break
 
-    # Join: a forward label meets a backward label when the backward mask is
-    # the complement plus the shared junction vertex, which both sides must
-    # hold as their endpoint. Values add without double counting a leg.
-    best_obj: Optional[int] = None
-    best_order: Optional[Tuple[int, ...]] = None
+    # Each label left has visited every vertex, and the leg back into the
+    # depot costs nothing, so its value is the tour's. join_candidates
+    # counts the complete tours compared.
+    best: Optional[Tuple[int, Tuple[int, ...]]] = None
     join_candidates = 0
     if not timed_out and not cap_hit:
-        for lab in store_labels(cur_f):
-            value, mask, endpoint, _ = lab
-            key = (((full ^ mask) | (1 << (endpoint - 1))) << 6) | endpoint
-            hit = cur_b.get(key)
-            if hit is None:
-                continue
-            matches = (hit,) if dominance else hit
-            for blab in matches:
-                join_candidates += 1
-                total = value + blab[0]
-                if best_obj is None or total < best_obj:
-                    best_obj = total
-                    best_order = _forward_order(lab) + _backward_order(blab)[1:]
-                elif total == best_obj:
-                    cand = _forward_order(lab) + _backward_order(blab)[1:]
-                    if cand < best_order:
-                        best_order = cand
+        for lab in store_labels(frontier):
+            join_candidates += 1
+            if best is None or lab[0] < best[0] or (
+                lab[0] == best[0] and _forward_order(lab) < best[1]
+            ):
+                best = (lab[0], _forward_order(lab))
         if cfg.mode == EXACT:
-            if best_obj is None:
+            if best is None:
+                raise RuntimeError("internal error: exact search built no complete tour")
+            if best[0] > ub:
                 raise RuntimeError(
-                    "internal error: exact search produced no join candidate"
-                )
-            if best_obj > ub:
-                raise RuntimeError(
-                    "internal error: exact join candidate worse than incumbent"
+                    "internal error: exact search ended worse than the incumbent"
                 )
 
-    if best_obj is None or ub < best_obj or (ub == best_obj and inc_order < best_order):
+    if best is None or (ub, inc_order) < best:
         final_obj, final_order = ub, inc_order
     else:
-        final_obj, final_order = best_obj, best_order
+        final_obj, final_order = best
 
     route = evaluate_route(instance, index, final_order)
     if route.objective != final_obj:

@@ -58,7 +58,6 @@ def _solver_config(args, method: str) -> bidp.SolverConfig:
         ub_refresh_width=getattr(args, "ub_refresh", 32),
         labels_cap=getattr(args, "labels_cap", None),
         time_limit=getattr(args, "time_limit", None),
-        meet=getattr(args, "meet", bidp.FORWARD),
     )
 
 
@@ -114,7 +113,6 @@ def cmd_solve(args) -> int:
             "ub_refresh": config.ub_refresh_width,
             "labels_cap": config.labels_cap,
             "time_limit": config.time_limit,
-            "meet": config.meet,
         },
         "stats": _strip_timing(stats) if args.no_timing else stats,
     }
@@ -183,7 +181,6 @@ def cmd_bench(args) -> int:
                 ub_refresh=args.ub_refresh,
                 labels_cap=args.labels_cap,
                 time_limit=args.time_limit,
-                meet=args.meet,
             )
             start = time.perf_counter()
             try:
@@ -387,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_meet_flag(p):
-        p.add_argument("--meet", default=bidp.FORWARD, choices=bidp.MEETS,
-                       help="where the bidp frontiers join: at the forward end "
-                       "(default) or at the paper's midpoint")
-
     def add_solver_flags(p):
         p.add_argument("--theta", type=float, default=1.0,
                        help="bound-acceptance fraction in (0,1], 1.0 = exact")
@@ -406,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="abort when the label store exceeds this size")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
                        help="seconds before falling back to the incumbent")
-        add_meet_flag(p)
         p.add_argument("--no-timing", action="store_true", dest="no_timing",
                        help="omit wall times for byte-stable output")
 
@@ -430,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--ub-refresh", type=int, default=32, dest="ub_refresh")
     p_bench.add_argument("--labels-cap", type=int, default=None, dest="labels_cap")
     p_bench.add_argument("--time-limit", type=float, default=None, dest="time_limit")
-    add_meet_flag(p_bench)
     p_bench.add_argument("--no-timing", action="store_true", dest="no_timing")
     p_bench.set_defaults(func=cmd_bench)
 

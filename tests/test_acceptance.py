@@ -28,7 +28,7 @@ from prtrp import (
     solve,
     write_lp_text,
 )
-from prtrp.bidp import HEURISTIC, MIDPOINT, backward_value, forward_value
+from prtrp.bidp import HEURISTIC, backward_value, forward_value
 
 from helpers import ancestor_sets, dark_profile, leg_sum_objective, random_orders
 from lp_lint import lint_lp
@@ -157,15 +157,12 @@ def _enumeration_tables(inst):
 def test_criterion_01_oracle_equivalence():
     rows, brute_time, bidp_time = small_results()
     assert len(rows) == SMALL_COUNT
-    midpoint = SolverConfig(meet=MIDPOINT)
-    for inst, index, best, report in rows:
-        # Under either meet point. brute_force keeps the lexicographically
-        # first optimal order, as the solver's tie-breaks do, so the orders
-        # must agree too.
-        for got in (report, solve(inst, midpoint, index)):
-            assert got.objective == best.objective, inst.name
-            assert got.route.order == best.order, inst.name
-            assert got.proven_optimal
+    for inst, _, best, report in rows:
+        # brute_force keeps the lexicographically first optimal order, as
+        # the solver's tie-breaks do, so the orders must agree too.
+        assert report.objective == best.objective, inst.name
+        assert report.route.order == best.order, inst.name
+        assert report.proven_optimal
     total = brute_time + bidp_time
     assert total < 300.0, f"criterion 1 sweep took {total:.1f}s"
     print(

@@ -10,14 +10,12 @@ from prtrp import (
     build_index,
     evaluate_route,
     generate_random,
-    generate_star_reduction,
     solve,
 )
 from prtrp import bidp
 from prtrp.bidp import (
     EXACT,
     HEURISTIC,
-    MIDPOINT,
     backward_value,
     forward_value,
     heuristic_source_beta,
@@ -86,10 +84,6 @@ class TestSolverConfig:
         cfg = SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.01)
         assert cfg.theta_pct == 80
         assert cfg.delta_pct == 1
-
-    def test_rejects_unknown_meet(self):
-        with pytest.raises(ValueError, match="meet"):
-            SolverConfig(meet="middle")
 
 
 class TestSolveExact:
@@ -308,6 +302,22 @@ class TestSolveVariants:
         assert evaluate_route(inst, index, report.route.order).objective == \
             report.objective
 
+    def test_relaxed_search_stops_once_every_path_is_pruned(self):
+        inst = generate_random(10, seed=2900)
+        report = solve(inst, SolverConfig(mode=HEURISTIC, theta=0.7, delta=0.01))
+        stats = report.stats
+        created = [st["fwd_created"] for st in stats["levels"]]
+        # The level that builds no label is the last one recorded.
+        assert len(created) < inst.n
+        assert created[-1] == 0 and all(created[:-1])
+        assert len(stats["u_trajectory"]) == len(created) + 1
+        assert stats["join_candidates"] == 0
+        assert not stats["time_limit_reached"] and not stats["labels_cap_reached"]
+        assert report.objective == stats["u_trajectory"][-1]
+        index = build_index(inst)
+        assert evaluate_route(inst, index, report.route.order).objective == \
+            report.objective
+
     def test_ub_refresh_zero_still_exact(self):
         for k in range(8):
             inst = generate_random(6, seed=2800 + k)
@@ -361,47 +371,18 @@ class TestReportShape:
         assert stats["wall_time_sec"] >= 0
         assert report.route.objective == report.objective
 
-
-class TestMeet:
-    def test_meets_agree_on_uniform_and_star_trees(self):
-        for n in (12, 13):
-            base = generate_random(n, seed=3100 + n)
-            star = generate_star_reduction(base.travel, name=f"star-n{n}")
-            for inst in (base, star):
-                index = build_index(inst)
-                fwd = solve(inst, index=index)
-                mid = solve(inst, SolverConfig(meet=MIDPOINT), index)
-                assert fwd.objective == mid.objective, inst.name
-                assert fwd.route.order == mid.route.order, inst.name
-                assert fwd.proven_optimal and mid.proven_optimal
-
-    def test_midpoint_level_counts_are_pinned(self):
-        # Per-level (fwd created, dominated, pruned by bound; bwd created,
-        # dominated, pruned by bound) of the midpoint split, recorded before
-        # the meet point became a setting; n=10 gives the backward side one
-        # level more than the forward side.
-        pinned = [
-            (10, 0, 0, 10, 0, 0),
-            (74, 0, 16, 90, 0, 0),
-            (209, 140, 243, 359, 326, 35),
-            (343, 332, 788, 830, 1412, 271),
-            (270, 276, 1512, 1217, 2737, 1026),
-            (0, 0, 0, 1193, 3085, 1807),
-        ]
-        report = solve(generate_random(10, seed=5), SolverConfig(meet=MIDPOINT))
-        keys = ("fwd_created", "fwd_dominated", "fwd_pruned_bound",
-                "bwd_created", "bwd_dominated", "bwd_pruned_bound")
-        levels = report.stats["levels"]
-        assert [tuple(st[k] for k in keys) for st in levels] == pinned
-        assert all(st["fwd_pruned_beta"] == st["bwd_pruned_beta"] == 0 for st in levels)
-        assert report.stats["labels_total"] == 4607
-        assert report.stats["join_candidates"] == 254
-        assert report.objective == 16115
-
-    def test_forward_meet_builds_one_backward_level(self):
+    def test_return_legs_are_counted_at_level_one(self):
         report = solve(generate_random(10, seed=5))
-        levels = report.stats["levels"]
+        stats = report.stats
+        levels = stats["levels"]
         assert len(levels) == 10
         assert levels[0]["bwd_created"] == 10
-        assert all(st["bwd_created"] == 0 for st in levels[1:])
+        assert all(
+            st[key] == 0
+            for st in levels[1:]
+            for key in ("bwd_created", "bwd_dominated", "bwd_pruned_bound",
+                        "bwd_pruned_beta")
+        )
+        assert stats["labels_total"] == 2 + 10 + sum(st["fwd_created"] for st in levels)
+        assert stats["join_candidates"] == levels[-1]["fwd_created"]
         assert report.objective == 16115

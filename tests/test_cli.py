@@ -128,17 +128,6 @@ class TestSolve:
         assert record["proven_optimal"] is False
         assert record["config"]["theta"] == 0.8
 
-    def test_meet_is_echoed(self, capsys, tmp_path):
-        path = str(inst_mod.save(generate_random(8, seed=12), tmp_path / "i.json"))
-        records = {}
-        for argv, meet in (([], "forward"), (["--meet", "midpoint"], "midpoint")):
-            code, out, _ = run_cli(capsys, ["solve", path, "--no-timing", *argv])
-            assert code == 0
-            records[meet] = json.loads(out)
-            assert records[meet]["config"]["meet"] == meet
-            assert records[meet]["proven_optimal"] is True
-        assert records["forward"]["order"] == records["midpoint"]["order"]
-
     def test_durations_are_absorbed_before_solving(self, capsys, tmp_path, star):
         data = json.loads(inst_mod.dumps(star))
         data["repair_durations"] = [5, 0, 0]
@@ -173,14 +162,6 @@ class TestBench:
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
-
-    def test_meet_leaves_exact_rows_unchanged(self, capsys):
-        argv = ["bench", "--n", "7", "--count", "2", "--seed", "5",
-                "--methods", "gid,bidp", "--no-timing"]
-        _, forward, _ = run_cli(capsys, argv)
-        code, midpoint, _ = run_cli(capsys, argv + ["--meet", "midpoint"])
-        assert code == 0
-        assert forward == midpoint
 
     def test_directory_input(self, capsys, tmp_path):
         for k in range(2):
