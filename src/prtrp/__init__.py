@@ -10,9 +10,7 @@ from .bounds import (
     BoundsTable,
     build_bounds_table,
     compute_beta,
-    outgoing_lower_bound,
     position_lower_bound,
-    return_lower_bound,
 )
 from .errors import EngineLimitError
 from .heuristics import greedy_complete, greedy_distance, greedy_priority_distance
@@ -66,9 +64,7 @@ __all__ = [
     "held_karp_forward",
     "make_disrupted_counter",
     "make_instance",
-    "outgoing_lower_bound",
     "position_lower_bound",
-    "return_lower_bound",
     "solve",
     "validate",
     "write_lp_text",

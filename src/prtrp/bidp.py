@@ -9,10 +9,11 @@ vertex into the depot, costs nothing because every vertex is then repaired.
 A label is keyed by its configuration (visited mask, endpoint); within one
 level only the best value per configuration survives, since any completion
 of one path completes every path sharing its configuration. New labels are
-screened against path lower bounds relative to the incumbent upper bound,
-which is refreshed each level by greedily completing the best labels. The
-per-vertex position thresholds of bounds.compute_beta are not applied
-during the search; they form the threshold table `prtrp bounds` prints.
+screened against the outgoing-path lower bound of bounds.BoundsTable
+relative to the incumbent upper bound, which is refreshed each level by
+greedily completing the best labels. The per-vertex position thresholds of
+bounds.compute_beta are not applied during the search; they form the
+threshold table `prtrp bounds` prints.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -24,6 +25,7 @@ every path, the incumbent is the result.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -79,7 +81,8 @@ class SolverConfig:
     the source out of every position past heuristic_source_beta. Exact
     mode requires theta=1, delta=0 and no heuristic source position.
     use_dominance and use_path_bounds switch the two prunings off, which
-    leaves an unpruned reference search for tests.
+    leaves an unpruned reference search for tests. labels_cap and
+    time_limit (seconds, 0 allowed) stop the search; None means no limit.
     """
 
     mode: str = EXACT
@@ -97,8 +100,8 @@ class SolverConfig:
             raise ValueError(f"mode must be {EXACT!r} or {HEURISTIC!r}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError("theta must lie in (0, 1]")
-        if self.delta < 0.0:
-            raise ValueError("delta must be non-negative")
+        if not (math.isfinite(self.delta) and self.delta >= 0.0):
+            raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
         if self.mode == EXACT and (
             self.theta_pct != 100 or self.delta_pct != 0 or self.use_heuristic_source_beta
         ):
@@ -107,6 +110,15 @@ class SolverConfig:
             )
         if self.ub_refresh_width < 0:
             raise ValueError("ub_refresh_width must be >= 0")
+        if self.labels_cap is not None and self.labels_cap < 0:
+            raise ValueError(f"labels_cap must be >= 0, got {self.labels_cap}")
+        if self.time_limit is not None and not (
+            math.isfinite(self.time_limit) and self.time_limit >= 0.0
+        ):
+            raise ValueError(
+                f"time_limit must be a finite number of seconds >= 0, "
+                f"got {self.time_limit}"
+            )
 
     @property
     def theta_pct(self) -> int:
@@ -145,28 +157,6 @@ def forward_value(
         value += disrupted_count(index, mask) * travel[prev][v]
         mask |= 1 << (v - 1)
         prev = v
-    return value
-
-
-def backward_value(
-    instance: Instance, index: PrecedenceIndex, order: Sequence[int]
-) -> int:
-    """Disruption accumulated by the return path order[0] -> ... -> depot.
-
-    Vertices not on the path count as already repaired, so the value only
-    depends on the path itself. The final leg into the depot has everything
-    repaired and costs nothing.
-    """
-    check_partial(instance.n, order)
-    travel = instance.travel
-    full = (1 << instance.n) - 1
-    repaired = full
-    for v in order:
-        repaired &= ~(1 << (v - 1))
-    value = 0
-    for a in range(len(order) - 1):
-        repaired |= 1 << (order[a] - 1)
-        value += disrupted_count(index, repaired) * travel[order[a]][order[a + 1]]
     return value
 
 
@@ -252,15 +242,10 @@ def solve(
     use_bounds = cfg.use_path_bounds
     dominance = cfg.use_dominance
 
-    if dominance:
-        frontier: Dict[int, object] = {0: _DEPOT_LABEL}
-    else:
-        frontier = {0: [_DEPOT_LABEL]}
-
-    def store_labels(store):
-        if dominance:
-            return store.values()
-        return (lab for bucket in store.values() for lab in bucket)
+    # Labels are keyed by configuration, so a new label meets the one it
+    # dominates or loses to. With dominance off every label gets its own
+    # key, the running count of labels created in its level.
+    frontier: Dict[int, Label] = {0: _DEPOT_LABEL}
 
     def allowed_at(position, store):
         """Mask of the vertices a label may add at a tour position, and the
@@ -269,7 +254,7 @@ def solve(
         if position <= source_cap:
             return full, 0
         return full ^ source_bit, sum(
-            1 for lab in store_labels(store) if not lab[1] & source_bit
+            1 for lab in store.values() if not lab[1] & source_bit
         )
 
     labels_cap = cfg.labels_cap
@@ -301,10 +286,10 @@ def solve(
         threshold = (theta_pct + level * delta_pct) * ub
         # Counters stay in locals: a dict update per candidate is not free.
         created = dominated = pruned_bound = 0
-        nxt: Dict[int, object] = {}
+        nxt: Dict[int, Label] = {}
         allowed, pruned_beta = allowed_at(level + 1, frontier)
         tail = out_tail[level + 1]
-        for i, lab in enumerate(store_labels(frontier)):
+        for i, lab in enumerate(frontier.values()):
             if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + created):
                 break
             value, mask, endpoint, _ = lab
@@ -322,11 +307,7 @@ def solve(
                 ) * 100 > threshold:
                     pruned_bound += 1
                     continue
-                key = (new_mask << 6) | v
-                if not dominance:
-                    nxt.setdefault(key, []).append((new_value, new_mask, v, lab))
-                    created += 1
-                    continue
+                key = (new_mask << 6) | v if dominance else created
                 old = nxt.get(key)
                 if old is None:
                     nxt[key] = (new_value, new_mask, v, lab)
@@ -351,20 +332,18 @@ def solve(
             "fwd_pruned_beta": pruned_beta,
             **(return_legs if level == 0 else _NO_RETURN_LEGS),
         })
-        if labels_cap is not None and labels_total > labels_cap:
-            cap_hit = True
-        if cap_hit and cfg.mode == EXACT:
-            raise EngineLimitError(
-                f"label cap {labels_cap} exceeded at level {level + 1} "
-                f"({labels_total} labels); raise the cap or use heuristic mode"
-            )
-        if cap_hit or timed_out:
+        if limit_reached(labels_total):
+            if cap_hit and cfg.mode == EXACT:
+                raise EngineLimitError(
+                    f"label cap {labels_cap} exceeded at level {level + 1} "
+                    f"({labels_total} labels); raise the cap or use heuristic mode"
+                )
             break
 
         # Refresh the incumbent by greedily completing the best new labels.
         if cfg.ub_refresh_width > 0 and frontier:
             best_labels = heapq.nsmallest(
-                cfg.ub_refresh_width, store_labels(frontier), key=lambda lb: lb[0]
+                cfg.ub_refresh_width, frontier.values(), key=lambda lb: lb[0]
             )
             for lab in best_labels:
                 route = greedy_complete(instance, index, _forward_order(lab))
@@ -377,9 +356,6 @@ def solve(
             # Relaxed acceptance has pruned every path; no later level can
             # build a label, so the incumbent is the result.
             break
-        if deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-            break
 
     # Each label left has visited every vertex, and the leg back into the
     # depot costs nothing, so its value is the tour's. join_candidates
@@ -387,7 +363,7 @@ def solve(
     best: Optional[Tuple[int, Tuple[int, ...]]] = None
     join_candidates = 0
     if not timed_out and not cap_hit:
-        for lab in store_labels(frontier):
+        for lab in frontier.values():
             join_candidates += 1
             if best is None or lab[0] < best[0] or (
                 lab[0] == best[0] and _forward_order(lab) < best[1]

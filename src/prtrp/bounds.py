@@ -21,9 +21,18 @@ class BoundsTable:
 
     sorted_arcs covers all (n+1)*n directed arcs, depot arcs included.
     prefix_plain[j] is the sum of the j shortest arcs; prefix_weighted[j]
-    weights arc p by (n-p+1), defined for j <= n. outgoing_tail[k] and
-    return_tail[k] are the position-independent parts of the two path
-    bounds for a partial path holding k vertices.
+    weights arc p by (n-p+1), defined for j <= n.
+
+    outgoing_tail[k] serves the outgoing-path bound the solver applies to
+    a path from the depot through k vertices, with accumulated disruption
+    u and w vertices still dark at its end:
+
+        u + w * sorted_arcs[0] + outgoing_tail[k]
+
+    The next leg carries w dark vertices on at best the shortest arc; the
+    remaining n-k-1 legs carry at least n-k-1, ..., 1 on the next shortest
+    arcs (rearrangement inequality). For k = n, w and outgoing_tail[n] are
+    0 and the bound is u itself.
     """
 
     n: int
@@ -31,7 +40,6 @@ class BoundsTable:
     prefix_plain: Tuple[int, ...]
     prefix_weighted: Tuple[int, ...]
     outgoing_tail: Tuple[int, ...]
-    return_tail: Tuple[int, ...]
     successor_count: Tuple[int, ...]
 
 
@@ -55,10 +63,6 @@ def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTabl
     for k in range(n + 1):
         q = n - k
         outgoing_tail[k] = sum((q + 1 - p) * arcs[p - 1] for p in range(2, q + 1))
-    # return_tail[k] = sum_{p=1}^{n-k+1} (n+1-p) s_p
-    return_tail = [0] * (n + 1)
-    for k in range(1, n + 1):
-        return_tail[k] = sum((n + 1 - p) * arcs[p - 1] for p in range(1, n - k + 2))
 
     return BoundsTable(
         n=n,
@@ -66,7 +70,6 @@ def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTabl
         prefix_plain=tuple(prefix_plain),
         prefix_weighted=tuple(prefix_weighted),
         outgoing_tail=tuple(outgoing_tail),
-        return_tail=tuple(return_tail),
         successor_count=index.successor_count,
     )
 
@@ -114,30 +117,3 @@ def compute_beta(table: BoundsTable, upper: Optional[int]) -> List[int]:
                 beta[i - 1] = k - 1
                 break
     return beta
-
-
-def outgoing_lower_bound(table: BoundsTable, u_value: int, k: int, w_p: int) -> int:
-    """Lower bound on completing an outgoing path of k vertices.
-
-    u_value is the path's accumulated disruption and w_p the dark count
-    after driving it. The cheapest arc carries w_p; the remaining n-k-1
-    legs carry the best-case descending counts on the next shortest arcs.
-    """
-    n = table.n
-    if not 1 <= k <= n:
-        raise ValueError(f"path length {k} outside 1..{n}")
-    if k == n:
-        return u_value
-    return u_value + w_p * table.sorted_arcs[0] + table.outgoing_tail[k]
-
-
-def return_lower_bound(table: BoundsTable, v_value: int, k: int) -> int:
-    """Lower bound on completing a return path of k vertices.
-
-    v_value is the path's accumulated disruption. The n-k+1 legs still to
-    be driven before the path starts carry at least n, n-1, ..., k dark
-    vertices, charged on the sorted shortest arcs.
-    """
-    if not 1 <= k <= table.n:
-        raise ValueError(f"path length {k} outside 1..{table.n}")
-    return table.return_tail[k] + v_value

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -43,22 +45,22 @@ def _load_instance(path: str) -> Instance:
 
 
 def _solver_config(args, method: str) -> bidp.SolverConfig:
-    theta = getattr(args, "theta", 1.0)
-    delta = getattr(args, "delta", 0.0)
-    hsb = getattr(args, "heuristic_source_beta", False)
-    exact = (
-        round(theta * 100) == 100 and round(delta * 100) == 0 and not hsb
-        and method == "bidp"
-    )
-    return bidp.SolverConfig(
-        mode=bidp.EXACT if exact else bidp.HEURISTIC,
-        theta=theta,
-        delta=delta,
-        use_heuristic_source_beta=hsb,
+    # Built in heuristic mode first, so that a bad value is reported under
+    # its own field before theta and delta are rounded to percent.
+    config = bidp.SolverConfig(
+        mode=bidp.HEURISTIC,
+        theta=getattr(args, "theta", 1.0),
+        delta=getattr(args, "delta", 0.0),
+        use_heuristic_source_beta=getattr(args, "heuristic_source_beta", False),
         ub_refresh_width=getattr(args, "ub_refresh", 32),
         labels_cap=getattr(args, "labels_cap", None),
         time_limit=getattr(args, "time_limit", None),
     )
+    exact = (
+        method == "bidp" and config.theta_pct == 100 and config.delta_pct == 0
+        and not config.use_heuristic_source_beta
+    )
+    return dataclasses.replace(config, mode=bidp.EXACT) if exact else config
 
 
 def _run_method(inst: Instance, method: str, config: bidp.SolverConfig):
@@ -166,6 +168,9 @@ def _bench_instances(args) -> List[Instance]:
 
 
 def cmd_bench(args) -> int:
+    # The limits every method shares are checked once: a bad one is an
+    # input error, not a failure of each row.
+    _solver_config(args, "bidp")
     instances = _bench_instances(args)
     tokens = [_parse_method_token(t) for t in args.methods.split(",")]
 
@@ -300,11 +305,55 @@ def cmd_export_mip(args) -> int:
     return EXIT_OK
 
 
+def _numbers(values, where: str) -> List[float]:
+    """values as floats; ValueError unless a list of finite numbers."""
+    if not isinstance(values, list):
+        raise ValueError(f"{where} must be a list of numbers, got {values!r}")
+    for i, v in enumerate(values):
+        if type(v) not in (int, float) or not math.isfinite(v):
+            raise ValueError(f"{where}[{i}] must be a finite number, got {v!r}")
+    return [float(v) for v in values]
+
+
+def _solution_arcs(x_raw, n: int) -> List[List[float]]:
+    """x of a solution file as a dense (n+1)x(n+1) matrix.
+
+    x is either that matrix or a list of used [i, j] arcs. A zero diagonal
+    disambiguates the 2x2 case, where both shapes agree.
+    """
+    if not isinstance(x_raw, list):
+        raise ValueError(f"x must be a matrix or a list of [i, j] arcs, got {x_raw!r}")
+    if len(x_raw) == n + 1 and all(
+        isinstance(row, list) and len(row) == n + 1 for row in x_raw
+    ):
+        x = [_numbers(row, f"x[{i}]") for i, row in enumerate(x_raw)]
+        if all(abs(x[i][i]) < 0.5 for i in range(n + 1)):
+            return x
+    x = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for arc in x_raw:
+        if not (
+            isinstance(arc, list) and len(arc) == 2
+            and all(type(v) is int and 0 <= v <= n for v in arc)
+            and arc[0] != arc[1]
+        ):
+            raise ValueError(
+                f"every arc in x must be a pair of distinct vertices in 0..{n}, "
+                f"got {arc!r}"
+            )
+        x[arc[0]][arc[1]] = 1.0
+    return x
+
+
 def cmd_check_mip(args) -> int:
     sol_path = Path(args.solution)
     if not sol_path.is_file():
         raise FileNotFoundError(f"solution file not found: {args.solution}")
     data = json.loads(sol_path.read_text(encoding="utf-8"))
+    if not isinstance(data, dict):
+        raise ValueError("solution file must hold a JSON object")
+    missing = [key for key in ("x", "t", "r") if key not in data]
+    if missing:
+        raise ValueError(f"solution file missing keys: {', '.join(missing)}")
 
     if args.instance:
         inst = _load_instance(args.instance)
@@ -321,24 +370,9 @@ def cmd_check_mip(args) -> int:
     work = inst_mod.absorb_repair_durations(inst)
     index = build_index(work)
     model = mip_export.build_model(work, index)
-    n = work.n
-    x_raw = data["x"]
-    # x is either a dense (n+1)x(n+1) matrix or a list of used [i, j] arcs.
-    # A zero diagonal disambiguates the 2x2 case, where both shapes agree.
-    is_matrix = (
-        len(x_raw) == n + 1
-        and all(isinstance(row, (list, tuple)) and len(row) == n + 1 for row in x_raw)
-        and all(abs(float(x_raw[i][i])) < 0.5 for i in range(n + 1))
-    )
-    if is_matrix:
-        x = [[float(v) for v in row] for row in x_raw]
-    else:
-        x = [[0.0] * (n + 1) for _ in range(n + 1)]
-        for i, j in x_raw:
-            x[int(i)][int(j)] = 1.0
     res = mip_export.check_assignment(
-        model, work, index, x, [float(v) for v in data["t"]],
-        [float(v) for v in data["r"]],
+        model, work, index, _solution_arcs(data["x"], work.n),
+        _numbers(data["t"], "t"), _numbers(data["r"], "r"),
     )
     print(
         json.dumps(

@@ -88,7 +88,7 @@ def latency_brute_force(travel) -> int:
     )
 
 
-def pure_backward_values(instance):
+def pure_backward_recursion(instance):
     """Memoized v(current, unvisited) from the backward recursion.
 
     Returns a callable v(k, Y) with Y a frozenset; v(0, all) is the optimum.
@@ -115,7 +115,7 @@ def pure_backward_values(instance):
 
 
 def pure_backward_optimum(instance) -> int:
-    v = pure_backward_values(instance)
+    v = pure_backward_recursion(instance)
     return v(0, frozenset(range(1, instance.n + 1)))
 
 

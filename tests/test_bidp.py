@@ -1,4 +1,3 @@
-import random
 import re
 
 import pytest
@@ -16,7 +15,6 @@ from prtrp import bidp
 from prtrp.bidp import (
     EXACT,
     HEURISTIC,
-    backward_value,
     forward_value,
     heuristic_source_beta,
 )
@@ -25,7 +23,7 @@ from helpers import (
     ancestor_sets,
     dark_count,
     pure_backward_optimum,
-    pure_backward_values,
+    pure_backward_recursion,
     pure_forward_optimum,
 )
 
@@ -36,39 +34,13 @@ class TestPathValues:
         assert forward_value(star, star_index, (1, 2)) == 5
         assert forward_value(star, star_index, (2, 3)) == 9
 
-    def test_backward_star(self, star, star_index):
-        assert backward_value(star, star_index, (1,)) == 0
-        assert backward_value(star, star_index, (2, 3)) == 1
-        assert backward_value(star, star_index, (2, 3, 1)) == 9
-
     def test_full_paths_meet_the_route_objective(self, star, star_index):
         route = evaluate_route(star, star_index, (2, 3, 1))
         assert forward_value(star, star_index, (2, 3, 1)) == route.objective
-        # the backward value starts at the arrival at vertex 2, so the
-        # depot departure leg (3 dark vertices for 2 ticks) is not included
-        first_leg = 3 * star.travel[0][2]
-        assert backward_value(star, star_index, (2, 3, 1)) == \
-            route.objective - first_leg
-
-    def test_join_splits_without_double_counting(self):
-        rng = random.Random(5)
-        for k in range(10):
-            n = 5 + k % 4
-            inst = generate_random(n, seed=1500 + k)
-            index = build_index(inst)
-            order = list(range(1, n + 1))
-            rng.shuffle(order)
-            whole = evaluate_route(inst, index, order).objective
-            for cut in range(1, n + 1):
-                fwd = forward_value(inst, index, order[:cut])
-                bwd = backward_value(inst, index, order[cut - 1:])
-                assert fwd + bwd == whole
 
     def test_rejects_duplicates(self, star, star_index):
         with pytest.raises(ValueError):
             forward_value(star, star_index, (1, 1))
-        with pytest.raises(ValueError):
-            backward_value(star, star_index, (4,))
 
 
 class TestSolverConfig:
@@ -123,7 +95,7 @@ class TestSolveExact:
             n = 4 + k % 4
             inst = generate_random(n, seed=1800 + k)
             report = solve(inst)
-            v = pure_backward_values(inst)
+            v = pure_backward_recursion(inst)
             anc = ancestor_sets(inst)
             order = report.route.order
             rest = frozenset(order)

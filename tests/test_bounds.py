@@ -1,4 +1,3 @@
-import random
 from itertools import permutations
 
 import pytest
@@ -8,12 +7,11 @@ from prtrp import (
     build_bounds_table,
     build_index,
     compute_beta,
+    disrupted_count,
     evaluate_route,
     generate_random,
     greedy_distance,
-    outgoing_lower_bound,
     position_lower_bound,
-    return_lower_bound,
 )
 from prtrp import bidp
 
@@ -85,50 +83,46 @@ class TestComputeBeta:
                 assert pos <= beta[v - 1], (inst.name, v, pos, beta)
 
 
-class TestPathLowerBounds:
-    def test_outgoing_examples(self, star, star_index, star_table):
-        # P = (0,2): value 6, three vertices dark
-        assert outgoing_lower_bound(star_table, 6, 1, 3) == 10
-        # P = (0,1): value 3, two dark; ties the optimum, must not prune
-        assert outgoing_lower_bound(star_table, 3, 1, 2) == 6
-        # complete path: bound collapses to the accumulated value
-        assert outgoing_lower_bound(star_table, 123, 3, 0) == 123
+def outgoing_bound(table, value, k, dark):
+    """The solver's outgoing-path bound for a k-vertex path (BoundsTable)."""
+    return value + dark * table.sorted_arcs[0] + table.outgoing_tail[k]
 
-    def test_return_examples(self, star_table):
-        assert return_lower_bound(star_table, 0, 1) == 6
-        assert return_lower_bound(star_table, 7, 2) == 5 + 7
-        assert return_lower_bound(star_table, 4, 3) == 3 * 1 + 4
+
+class TestPathLowerBounds:
+    def test_outgoing_examples(self, star_table):
+        # the star's three shortest arcs are 1: tail k holds the legs
+        # after the next one, charged 2 and 1 (k=0) or 1 (k=1) dark vertices
+        assert star_table.outgoing_tail == (3, 1, 0, 0)
+        # P = (0,2): value 6, three vertices dark
+        assert outgoing_bound(star_table, 6, 1, 3) == 10
+        # P = (0,1): value 3, two dark; ties the optimum, must not prune
+        assert outgoing_bound(star_table, 3, 1, 2) == 6
+        # complete path: bound collapses to the accumulated value
+        assert outgoing_bound(star_table, 123, 3, 0) == 123
 
     def test_bounds_below_best_completion_exhaustive(self):
-        # enumerate every tour of small instances; prefixes and suffixes up
-        # to length 3 must never be bounded above their best completion
+        # enumerate every tour of small instances; prefixes up to length 3
+        # must never be bounded above their best completion
         for k in range(6):
             n = 6
             inst = generate_random(n, seed=970 + k)
             index = build_index(inst)
             table = build_bounds_table(inst, index)
             best_for_prefix = {}
-            best_for_suffix = {}
             for perm in permutations(range(1, n + 1)):
                 obj = evaluate_route(inst, index, perm).objective
                 for L in (1, 2, 3):
-                    pre, suf = perm[:L], perm[-L:]
+                    pre = perm[:L]
                     if obj < best_for_prefix.get(pre, 1 << 62):
                         best_for_prefix[pre] = obj
-                    if obj < best_for_suffix.get(suf, 1 << 62):
-                        best_for_suffix[suf] = obj
             for pre, best in best_for_prefix.items():
-                value = bidp.forward_value(inst, index, pre)
                 visited = 0
                 for v in pre:
                     visited |= 1 << (v - 1)
-                from prtrp import disrupted_count
-
-                lb = outgoing_lower_bound(
-                    table, value, len(pre), disrupted_count(index, visited)
+                lb = outgoing_bound(
+                    table,
+                    bidp.forward_value(inst, index, pre),
+                    len(pre),
+                    disrupted_count(index, visited),
                 )
                 assert lb <= best, (inst.name, pre)
-            for suf, best in best_for_suffix.items():
-                value = bidp.backward_value(inst, index, suf)
-                lb = return_lower_bound(table, value, len(suf))
-                assert lb <= best, (inst.name, suf)

@@ -92,6 +92,24 @@ class TestSolve:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--time-limit", "nan", "time_limit"),
+            ("--time-limit", "-1", "time_limit"),
+            ("--labels-cap", "-3", "labels_cap"),
+            ("--delta", "nan", "delta"),
+        ],
+    )
+    def test_bad_limit_exits_2_naming_the_field(
+        self, capsys, star_file, flag, value, field
+    ):
+        code, out, err = run_cli(capsys, ["solve", star_file, flag, value])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
+        assert err.count("\n") == 1
+
     def test_missing_keys_exit_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"name": "x", "n": 2}')
@@ -210,6 +228,16 @@ class TestBench:
         relaxed_rows = [r for r in rows if r[2] != "bidp:1.00:0"]
         assert all(r[6] == "false" for r in relaxed_rows)
 
+    def test_bad_limit_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            ["bench", "--n", "4", "--seed", "1", "--methods", "gid,bidp",
+             "--labels-cap", "-3"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "labels_cap must be" in err
+
     def test_unknown_method_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, ["bench", "--n", "4", "--seed", "1", "--methods", "nope"]
@@ -325,6 +353,41 @@ class TestMipCommands:
         code, out, _ = run_cli(capsys, ["check-mip", str(sol)])
         assert code == 0
         assert json.loads(out)["objective"] == 15
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda sol: {k: v for k, v in sol.items() if k != "t"},
+             "missing keys: t"),
+            (lambda sol: {**sol, "x": sol["x"] + [[0, 9]]}, "got [0, 9]"),
+            (lambda sol: {**sol, "x": sol["x"] + [5]}, "got 5"),
+            (lambda sol: {**sol, "x": [[0.4, 4]] + sol["x"][1:]}, "got [0.4, 4]"),
+            (lambda sol: [sol], "must hold a JSON object"),
+        ],
+        ids=["missing-t", "arc-out-of-range", "arc-not-a-pair", "float-arc",
+             "top-level-list"],
+    )
+    def test_check_mip_malformed_solution_exits_2(
+        self, capsys, tmp_path, change, message
+    ):
+        from prtrp import build_index, encode_route
+
+        # a feasible solution for the tour 4, 3, 2, 1, which each case spoils
+        inst = generate_random(4, seed=1)
+        inst_mod.save(inst, tmp_path / "i.json")
+        _, t, r = encode_route(inst, build_index(inst), (4, 3, 2, 1))
+        sol = {
+            "instance": "i.json",
+            "x": [[0, 4], [4, 3], [3, 2], [2, 1], [1, 0]],
+            "t": t,
+            "r": r,
+        }
+        path = tmp_path / "sol.json"
+        path.write_text(json.dumps(change(sol)))
+        code, out, err = run_cli(capsys, ["check-mip", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and message in err
 
 
 class TestEvaluate:

@@ -1,0 +1,143 @@
+"""Property tests over small drawn instances.
+
+Travel matrices are asymmetric, often hold zero arcs and need not satisfy
+the triangle inequality; power trees are chains, stars or random trees
+rooted at a drawn source. Examples are derandomized, so every run draws
+the same instances.
+"""
+
+from itertools import permutations
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from prtrp import (  # noqa: E402
+    SolverConfig,
+    absorb_repair_durations,
+    brute_force,
+    build_bounds_table,
+    build_index,
+    build_model,
+    check_assignment,
+    disrupted_count,
+    encode_route,
+    evaluate_route,
+    make_instance,
+    solve,
+    validate,
+)
+from prtrp import instance as inst_mod  # noqa: E402
+from prtrp.bidp import forward_value  # noqa: E402
+
+from helpers import sim_objective_with_durations  # noqa: E402
+
+EXAMPLES = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def instances(draw, max_n=7, durations=False):
+    n = draw(st.integers(1, max_n))
+    arc = st.one_of(st.just(0), st.integers(0, 40))
+    travel = [[0 if i == j else draw(arc) for j in range(n + 1)] for i in range(n + 1)]
+    # vertices[0] is the source; every other vertex hangs off an earlier one
+    vertices = draw(st.permutations(range(1, n + 1)))
+    shape = draw(st.sampled_from(["chain", "star", "random"]))
+    parent = {}
+    for pos in range(1, n):
+        if shape == "chain":
+            up = pos - 1
+        elif shape == "star":
+            up = 0
+        else:
+            up = draw(st.integers(0, pos - 1))
+        parent[vertices[pos]] = vertices[up]
+    repair = [draw(st.integers(0, 20)) for _ in range(n)] if durations else None
+    inst = make_instance(
+        f"drawn-{shape}-n{n}", travel, parent, vertices[0], repair_duration=repair
+    )
+    assert validate(inst) == []
+    return inst
+
+
+@st.composite
+def instances_with_order(draw, durations=False):
+    inst = draw(instances(durations=durations))
+    return inst, tuple(draw(st.permutations(range(1, inst.n + 1))))
+
+
+@EXAMPLES
+@given(instances())
+def test_solve_matches_brute_force(inst):
+    index = build_index(inst)
+    report = solve(inst, index=index)
+    best = brute_force(inst, index)
+    assert (report.objective, report.route.order) == (best.objective, best.order)
+    assert report.proven_optimal
+
+
+@EXAMPLES
+@given(instances())
+def test_pruning_switches_leave_the_result_unchanged(inst):
+    index = build_index(inst)
+    default = solve(inst, index=index)
+    for config in (
+        SolverConfig(use_dominance=False), SolverConfig(use_path_bounds=False)
+    ):
+        other = solve(inst, config, index)
+        assert (other.objective, other.route.order) == \
+            (default.objective, default.route.order), config
+
+
+@EXAMPLES
+@given(instances(max_n=6))
+def test_table_bound_below_best_completion_of_every_prefix(inst):
+    n = inst.n
+    index = build_index(inst)
+    table = build_bounds_table(inst, index)
+    best = {}
+    for perm in permutations(range(1, n + 1)):
+        obj = evaluate_route(inst, index, perm).objective
+        for k in range(1, n + 1):
+            if obj < best.get(perm[:k], obj + 1):
+                best[perm[:k]] = obj
+    for prefix, completion in best.items():
+        visited = 0
+        for v in prefix:
+            visited |= 1 << (v - 1)
+        # the outgoing-path bound as the solver applies it (BoundsTable)
+        bound = (
+            forward_value(inst, index, prefix)
+            + disrupted_count(index, visited) * table.sorted_arcs[0]
+            + table.outgoing_tail[len(prefix)]
+        )
+        assert bound <= completion, prefix
+
+
+@EXAMPLES
+@given(instances(durations=True))
+def test_json_round_trip_preserves_the_instance(inst):
+    assert inst_mod.loads(inst_mod.dumps(inst)) == inst
+
+
+@EXAMPLES
+@given(instances_with_order(durations=True))
+def test_absorbing_durations_keeps_route_objectives(drawn):
+    inst, order = drawn
+    absorbed = absorb_repair_durations(inst)
+    got = evaluate_route(absorbed, build_index(absorbed), order).objective
+    assert got == sim_objective_with_durations(inst, order)
+
+
+@EXAMPLES
+@given(instances_with_order(durations=True))
+def test_encoded_route_is_a_feasible_assignment(drawn):
+    inst, order = drawn
+    work = absorb_repair_durations(inst)
+    index = build_index(work)
+    x, t, r = encode_route(work, index, order)
+    res = check_assignment(build_model(work, index), work, index, x, t, r)
+    assert res.feasible, res.violations
+    assert res.single_tour and res.order == order
+    assert res.objective == evaluate_route(work, index, order).objective
