@@ -17,9 +17,8 @@ threshold table `prtrp bounds` prints.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
-(theta + level * delta) of the incumbent, trading the guarantee for speed,
-and may cap the source's position by the greedy tours; once it has pruned
-every path, the incumbent is the result.
+(theta + level * delta) of the incumbent, trading the guarantee for speed;
+once it has pruned every path, the incumbent is the result.
 """
 
 from __future__ import annotations
@@ -59,10 +58,11 @@ ENGINE_VERTEX_LIMIT = 63
 Label = Tuple[int, int, int, Optional[tuple]]
 _DEPOT_LABEL: Label = (0, 0, 0, None)
 
-# Backward counters of a level that builds no return legs. stats["levels"]
-# keeps the paper's forward and backward columns; perfbench/run.py reads
-# both.
-_NO_RETURN_LEGS = {
+# Columns of stats["levels"] the forward search never counts. They keep the
+# paper's position-threshold and backward counters because perfbench/run.py
+# reads them; level 1 overrides bwd_created with the n return legs.
+_UNCOUNTED = {
+    "fwd_pruned_beta": 0,
     "bwd_created": 0,
     "bwd_dominated": 0,
     "bwd_pruned_bound": 0,
@@ -77,9 +77,8 @@ class SolverConfig:
     theta/delta drive the dynamic acceptance threshold: a label survives
     when its lower bound is at most (theta + level * delta) times the
     incumbent upper bound. They are held to percent resolution so the
-    comparison stays in exact integers. use_heuristic_source_beta keeps
-    the source out of every position past heuristic_source_beta. Exact
-    mode requires theta=1, delta=0 and no heuristic source position.
+    comparison stays in exact integers. Exact mode requires theta=1 and
+    delta=0.
     use_dominance and use_path_bounds switch the two prunings off, which
     leaves an unpruned reference search for tests. labels_cap and
     time_limit (seconds, 0 allowed) stop the search; None means no limit.
@@ -88,7 +87,6 @@ class SolverConfig:
     mode: str = EXACT
     theta: float = 1.0
     delta: float = 0.0
-    use_heuristic_source_beta: bool = False
     ub_refresh_width: int = 32
     use_dominance: bool = True
     use_path_bounds: bool = True
@@ -102,12 +100,8 @@ class SolverConfig:
             raise ValueError("theta must lie in (0, 1]")
         if not (math.isfinite(self.delta) and self.delta >= 0.0):
             raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
-        if self.mode == EXACT and (
-            self.theta_pct != 100 or self.delta_pct != 0 or self.use_heuristic_source_beta
-        ):
-            raise ValueError(
-                "exact mode requires theta=1, delta=0 and no heuristic source position"
-            )
+        if self.mode == EXACT and (self.theta_pct != 100 or self.delta_pct != 0):
+            raise ValueError("exact mode requires theta=1 and delta=0")
         if self.ub_refresh_width < 0:
             raise ValueError("ub_refresh_width must be >= 0")
         if self.labels_cap is not None and self.labels_cap < 0:
@@ -160,26 +154,6 @@ def forward_value(
     return value
 
 
-def heuristic_source_beta(
-    instance: Instance,
-    index: PrecedenceIndex,
-    tours: Optional[Sequence[Route]] = None,
-) -> int:
-    """Largest 1-based position the source takes in the two greedy tours.
-
-    tours are the greedy-distance and greedy-priority-distance routes when
-    the caller has them already; they are built here otherwise. Used as an
-    optional cap on the source's admissible positions; it can cut off
-    optima, which is why only heuristic mode may apply it.
-    """
-    if tours is None:
-        tours = (
-            greedy_distance(instance, index),
-            greedy_priority_distance(instance, index),
-        )
-    return max(route.order.index(instance.source) for route in tours) + 1
-
-
 def _forward_order(label: Label) -> Tuple[int, ...]:
     """Outgoing order depot -> endpoint encoded by a forward label chain."""
     out = []
@@ -197,11 +171,10 @@ def solve(
 ) -> SolveReport:
     """Run the label search on a zero-duration instance.
 
-    Exact mode returns a provably optimal route. Heuristic mode (theta < 1,
-    delta > 0 or the heuristic source position cap) returns the best route
-    found with proven_optimal False. A passed time limit falls back to the
-    incumbent greedy-completed route; so does a passed label cap in
-    heuristic mode, while exact mode raises EngineLimitError.
+    Exact mode returns a provably optimal route. Heuristic mode returns the
+    best route found with proven_optimal False. A passed time limit falls
+    back to the incumbent greedy-completed route; so does a passed label cap
+    in heuristic mode, while exact mode raises EngineLimitError.
     """
     cfg = config or SolverConfig()
     n = instance.n
@@ -222,17 +195,13 @@ def solve(
     full = (1 << n) - 1
     wcount = make_disrupted_counter(index)
 
-    # Pre-processing: greedy incumbent and the optional source cap.
-    gid = greedy_distance(instance, index)
-    gipd = greedy_priority_distance(instance, index)
-    incumbent = min((gid, gipd), key=lambda rt: (rt.objective, rt.order))
+    # Pre-processing: greedy incumbent.
+    incumbent = min(
+        (greedy_distance(instance, index), greedy_priority_distance(instance, index)),
+        key=lambda rt: (rt.objective, rt.order),
+    )
     ub = incumbent.objective
     inc_order = incumbent.order
-
-    source_cap = n
-    if cfg.use_heuristic_source_beta:
-        source_cap = heuristic_source_beta(instance, index, (gid, gipd))
-    source_bit = 1 << (instance.source - 1)
 
     table = build_bounds_table(instance, index)
     s1 = table.sorted_arcs[0]
@@ -247,36 +216,22 @@ def solve(
     # key, the running count of labels created in its level.
     frontier: Dict[int, Label] = {0: _DEPOT_LABEL}
 
-    def allowed_at(position, store):
-        """Mask of the vertices a label may add at a tour position, and the
-        number of source-cap prunes: one per label that lacks the source
-        once the position is past the cap."""
-        if position <= source_cap:
-            return full, 0
-        return full ^ source_bit, sum(
-            1 for lab in store.values() if not lab[1] & source_bit
-        )
-
     labels_cap = cfg.labels_cap
 
-    def limit_reached(labels):
-        """True once labels exceed the cap or the deadline has passed;
-        records which in cap_hit / timed_out."""
+    def limit_reached(labels, clock=True):
+        """True once labels exceed the cap or, when clock is set, the
+        deadline has passed; records which in cap_hit / timed_out."""
         nonlocal cap_hit, timed_out
         if labels_cap is not None and labels > labels_cap:
             cap_hit = True
-        elif deadline is not None and time.perf_counter() > deadline:
+        elif clock and deadline is not None and time.perf_counter() > deadline:
             timed_out = True
         return cap_hit or timed_out
 
-    # The return legs into the depot, one from each vertex that may come
-    # last, are reported as level 1's backward labels. labels_total also
-    # counts the depot label once per direction.
-    return_legs = dict(_NO_RETURN_LEGS)
-    return_legs["bwd_created"], return_legs["bwd_pruned_beta"] = (
-        (n, 0) if n <= source_cap else (n - 1, 1)
-    )
-    labels_total = 2 + return_legs["bwd_created"]
+    # The n return legs into the depot are reported as level 1's backward
+    # labels. labels_total also counts the depot label once per direction.
+    return_legs = {**_UNCOUNTED, "bwd_created": n}
+    labels_total = 2 + n
     level_stats: List[Dict[str, int]] = []
     u_trajectory = [ub]
     timed_out = False
@@ -287,7 +242,6 @@ def solve(
         # Counters stay in locals: a dict update per candidate is not free.
         created = dominated = pruned_bound = 0
         nxt: Dict[int, Label] = {}
-        allowed, pruned_beta = allowed_at(level + 1, frontier)
         tail = out_tail[level + 1]
         for i, lab in enumerate(frontier.values()):
             if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + created):
@@ -295,7 +249,7 @@ def solve(
             value, mask, endpoint, _ = lab
             w = wcount(mask)
             row = travel[endpoint]
-            rem = allowed & ~mask
+            rem = full ^ mask
             while rem:
                 low = rem & -rem
                 rem ^= low
@@ -329,10 +283,11 @@ def solve(
             "fwd_created": created,
             "fwd_dominated": dominated,
             "fwd_pruned_bound": pruned_bound,
-            "fwd_pruned_beta": pruned_beta,
-            **(return_legs if level == 0 else _NO_RETURN_LEGS),
+            **(return_legs if level == 0 else _UNCOUNTED),
         })
-        if limit_reached(labels_total):
+        # A fully built last level is the finished search: the clock is not
+        # read there, so a deadline passing now cannot discard it.
+        if limit_reached(labels_total, clock=level + 1 < n):
             if cap_hit and cfg.mode == EXACT:
                 raise EngineLimitError(
                     f"label cap {labels_cap} exceeded at level {level + 1} "

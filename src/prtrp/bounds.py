@@ -104,12 +104,15 @@ def compute_beta(table: BoundsTable, upper: Optional[int]) -> List[int]:
     bound exceeds upper) - 1, or n when no position is ruled out. The
     position bound is non-decreasing in k on its applicable range, so the
     first threshold settles all later positions. upper=None means no bound
-    is known and every position stays open.
+    is known and every position stays open; a negative upper raises
+    ValueError, since no tour has a negative objective.
     """
     n = table.n
     beta = [n] * n
     if upper is None:
         return beta
+    if upper < 0:
+        raise ValueError(f"upper bound must be >= 0, got {upper}")
     for i in range(1, n + 1):
         k_min = n - table.successor_count[i - 1] + 1
         for k in range(max(k_min, 1), n + 1):

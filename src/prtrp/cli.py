@@ -51,15 +51,11 @@ def _solver_config(args, method: str) -> bidp.SolverConfig:
         mode=bidp.HEURISTIC,
         theta=getattr(args, "theta", 1.0),
         delta=getattr(args, "delta", 0.0),
-        use_heuristic_source_beta=getattr(args, "heuristic_source_beta", False),
         ub_refresh_width=getattr(args, "ub_refresh", 32),
         labels_cap=getattr(args, "labels_cap", None),
         time_limit=getattr(args, "time_limit", None),
     )
-    exact = (
-        method == "bidp" and config.theta_pct == 100 and config.delta_pct == 0
-        and not config.use_heuristic_source_beta
-    )
+    exact = method == "bidp" and config.theta_pct == 100 and config.delta_pct == 0
     return dataclasses.replace(config, mode=bidp.EXACT) if exact else config
 
 
@@ -111,7 +107,6 @@ def cmd_solve(args) -> int:
         "config": {
             "theta": config.theta,
             "delta": config.delta,
-            "heuristic_source_beta": config.use_heuristic_source_beta,
             "ub_refresh": config.ub_refresh_width,
             "labels_cap": config.labels_cap,
             "time_limit": config.time_limit,
@@ -127,16 +122,13 @@ def _strip_timing(stats: Dict[str, object]) -> Dict[str, object]:
 
 
 def _parse_method_token(token: str) -> Tuple[str, str, Dict[str, object]]:
-    """Parse a bench method token: name[:theta[:delta]][:hsb]."""
+    """Parse a bench method token: name[:theta[:delta]]."""
     parts = token.split(":")
     name = parts[0]
     if name not in ("bidp", "gid", "gipd", "brute", "hk"):
         raise ValueError(f"unknown method {name!r} in token {token!r}")
-    opts: Dict[str, object] = {"theta": 1.0, "delta": 0.0, "hsb": False}
+    opts: Dict[str, object] = {"theta": 1.0, "delta": 0.0}
     rest = parts[1:]
-    if rest and rest[-1] == "hsb":
-        opts["hsb"] = True
-        rest = rest[:-1]
     if rest:
         opts["theta"] = float(rest[0])
     if len(rest) > 1:
@@ -148,10 +140,17 @@ def _parse_method_token(token: str) -> Tuple[str, str, Dict[str, object]]:
 
 def _bench_instances(args) -> List[Instance]:
     if args.dir:
-        paths = sorted(Path(args.dir).glob("*.json"))
+        directory = Path(args.dir)
+        if not directory.is_dir():
+            raise FileNotFoundError(f"instance directory not found: {args.dir}")
+        paths = sorted(directory.glob("*.json"))
+        if not paths:
+            raise ValueError(f"no *.json instance files in {args.dir}")
         return [_load_instance(str(p)) for p in paths]
     if not args.n:
         raise ValueError("bench needs --dir or --n/--count/--seed")
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     out = []
     for n in args.n:
         for k in range(args.count):
@@ -182,7 +181,6 @@ def cmd_bench(args) -> int:
             ns = argparse.Namespace(
                 theta=opts["theta"],
                 delta=opts["delta"],
-                heuristic_source_beta=opts["hsb"],
                 ub_refresh=args.ub_refresh,
                 labels_cap=args.labels_cap,
                 time_limit=args.time_limit,
@@ -423,9 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bound-acceptance fraction in (0,1], 1.0 = exact")
         p.add_argument("--delta", type=float, default=0.0,
                        help="per-level relaxation added to theta")
-        p.add_argument("--heuristic-source-beta", action="store_true",
-                       dest="heuristic_source_beta",
-                       help="cap the source position by the greedy tours")
         p.add_argument("--ub-refresh", type=int, default=32, dest="ub_refresh",
                        help="greedy completions per level for the upper bound")
         p.add_argument("--labels-cap", type=int, default=None, dest="labels_cap",
@@ -451,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--coord-range", type=int, default=1000, dest="coord_range")
     p_bench.add_argument("--family", default="uniform", choices=["uniform", "star"])
     p_bench.add_argument("--methods", default="gid,gipd,bidp",
-                         help="comma list; bidp accepts bidp:THETA:DELTA[:hsb]")
+                         help="comma list; bidp accepts bidp:THETA:DELTA")
     p_bench.add_argument("--ub-refresh", type=int, default=32, dest="ub_refresh")
     p_bench.add_argument("--labels-cap", type=int, default=None, dest="labels_cap")
     p_bench.add_argument("--time-limit", type=float, default=None, dest="time_limit")

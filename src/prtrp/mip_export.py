@@ -56,10 +56,13 @@ def build_model(
     """Assemble the model for a zero-duration instance.
 
     The default big-M is the sum of all arc lengths, which is always large
-    enough; pass big_m to override with something tighter.
+    enough; pass big_m >= 0 to override with something tighter.
     """
     if any(instance.repair_duration):
         raise ValueError("repair durations must be absorbed before model export")
+    if big_m is not None and big_m < 0:
+        # With x_ij = 0 the time row would still demand t_j - t_i >= d_ij + |M|.
+        raise ValueError(f"big_m must be >= 0, got {big_m}")
     n = instance.n
     if big_m is None:
         big_m = sum(

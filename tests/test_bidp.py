@@ -12,12 +12,7 @@ from prtrp import (
     solve,
 )
 from prtrp import bidp
-from prtrp.bidp import (
-    EXACT,
-    HEURISTIC,
-    forward_value,
-    heuristic_source_beta,
-)
+from prtrp.bidp import EXACT, HEURISTIC, forward_value
 
 from helpers import (
     ancestor_sets,
@@ -26,6 +21,26 @@ from helpers import (
     pure_backward_recursion,
     pure_forward_optimum,
 )
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts the solver's disrupted-count calls (one or two per candidate)
+    under the key "calls"; a patched clock can read it to pick its moment."""
+    counter = {"calls": 0}
+    real_counter = bidp.make_disrupted_counter
+
+    def counting_counter(index):
+        count = real_counter(index)
+
+        def counted(mask):
+            counter["calls"] += 1
+            return count(mask)
+
+        return counted
+
+    monkeypatch.setattr(bidp, "make_disrupted_counter", counting_counter)
+    return counter
 
 
 class TestPathValues:
@@ -48,7 +63,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(mode=EXACT, theta=0.9)
         with pytest.raises(ValueError):
-            SolverConfig(mode=EXACT, use_heuristic_source_beta=True)
+            SolverConfig(mode=EXACT, delta=0.01)
         with pytest.raises(ValueError):
             SolverConfig(theta=0.0)
 
@@ -176,31 +191,6 @@ class TestSolveVariants:
             again = evaluate_route(inst, index, relaxed.route.order)
             assert again.objective == relaxed.objective
 
-    def test_heuristic_source_beta_mode(self):
-        def cap_prunes(report):
-            return sum(
-                st["fwd_pruned_beta"] + st["bwd_pruned_beta"]
-                for st in report.stats["levels"]
-            )
-
-        capped_prunes = 0
-        for k in range(10):
-            n = 5 + k % 4
-            inst = generate_random(n, seed=2400 + k)
-            index = build_index(inst)
-            exact = solve(inst, index=index)
-            capped = solve(
-                inst,
-                SolverConfig(mode=HEURISTIC, use_heuristic_source_beta=True),
-                index,
-            )
-            assert capped.objective >= exact.objective
-            assert not capped.proven_optimal
-            # *_pruned_beta counts source-cap prunes only, so exact mode has none
-            assert cap_prunes(exact) == 0
-            capped_prunes += cap_prunes(capped)
-        assert capped_prunes > 0
-
     def test_labels_cap_exact_aborts(self):
         inst = generate_random(9, seed=2600)
         with pytest.raises(EngineLimitError, match="label cap"):
@@ -241,29 +231,15 @@ class TestSolveVariants:
         stopped_at = int(re.search(r"\((\d+) labels\)", str(exc.value)).group(1))
         assert cap < stopped_at < after_level_5
 
-    def test_time_limit_stops_inside_a_level(self, monkeypatch):
+    def test_time_limit_stops_inside_a_level(self, monkeypatch, expansions):
         inst = generate_random(12, seed=2700)
-        real_counter = bidp.make_disrupted_counter
-        calls = 0
-
-        def counting_counter(index):
-            count = real_counter(index)
-
-            def counted(mask):
-                nonlocal calls
-                calls += 1
-                return count(mask)
-
-            return counted
-
-        monkeypatch.setattr(bidp, "make_disrupted_counter", counting_counter)
         full = solve(inst).stats["levels"]
         # The clock jumps past the deadline halfway through the label
         # expansions, which falls inside one of the large middle levels.
-        flip_at, calls = calls // 2, 0
+        flip_at, expansions["calls"] = expansions["calls"] // 2, 0
         with monkeypatch.context() as m:
             m.setattr(bidp.time, "perf_counter",
-                      lambda: 1e9 if calls >= flip_at else 0.0)
+                      lambda: 1e9 if expansions["calls"] >= flip_at else 0.0)
             report = solve(inst, SolverConfig(mode=HEURISTIC, time_limit=1.0))
         levels = report.stats["levels"]
         assert report.stats["time_limit_reached"]
@@ -273,6 +249,28 @@ class TestSolveVariants:
         index = build_index(inst)
         assert evaluate_route(inst, index, report.route.order).objective == \
             report.objective
+
+    @pytest.mark.parametrize("mode", [EXACT, HEURISTIC])
+    def test_deadline_after_the_last_level_keeps_the_search(
+        self, monkeypatch, expansions, mode
+    ):
+        inst = generate_random(6, seed=3)
+        config = SolverConfig(mode=mode, time_limit=10.0)
+        full = solve(inst, config)
+        # The clock passes the deadline only once every label of level n
+        # has been built.
+        flip_at, expansions["calls"] = expansions["calls"], 0
+        with monkeypatch.context() as m:
+            m.setattr(bidp.time, "perf_counter",
+                      lambda: 1e9 if expansions["calls"] >= flip_at else 0.0)
+            report = solve(inst, config)
+        stats = report.stats
+        assert len(stats["levels"]) == inst.n
+        assert not stats["time_limit_reached"]
+        assert stats["join_candidates"] == stats["levels"][-1]["fwd_created"] > 0
+        assert report.proven_optimal == (mode == EXACT)
+        assert (report.objective, report.route.order) == \
+            (full.objective, full.route.order)
 
     def test_relaxed_search_stops_once_every_path_is_pruned(self):
         inst = generate_random(10, seed=2900)
@@ -300,33 +298,6 @@ class TestSolveVariants:
             )
 
 
-class TestHeuristicSourceBeta:
-    def test_star_both_traces_put_source_first(self, star, star_index):
-        assert heuristic_source_beta(star, star_index) == 1
-
-    def test_single_vertex(self):
-        inst = generate_random(1, seed=1)
-        assert heuristic_source_beta(inst, build_index(inst)) == 1
-
-    def test_max_rule(self, star):
-        # push the source away from the depot so greedy-in-distance delays it
-        travel = [
-            [0, 50, 2, 3],
-            [50, 0, 1, 2],
-            [2, 1, 0, 1],
-            [3, 2, 1, 0],
-        ]
-        from prtrp import make_instance
-
-        inst = make_instance("far", travel, {2: 1, 3: 1}, source=1)
-        index = build_index(inst)
-        from prtrp import greedy_distance, greedy_priority_distance
-
-        gid_pos = greedy_distance(inst, index).order.index(1) + 1
-        gipd_pos = greedy_priority_distance(inst, index).order.index(1) + 1
-        assert heuristic_source_beta(inst, index) == max(gid_pos, gipd_pos)
-
-
 class TestReportShape:
     def test_stats_fields(self, star):
         report = solve(star)
@@ -344,17 +315,24 @@ class TestReportShape:
         assert report.route.objective == report.objective
 
     def test_return_legs_are_counted_at_level_one(self):
-        report = solve(generate_random(10, seed=5))
-        stats = report.stats
-        levels = stats["levels"]
-        assert len(levels) == 10
-        assert levels[0]["bwd_created"] == 10
-        assert all(
-            st[key] == 0
-            for st in levels[1:]
-            for key in ("bwd_created", "bwd_dominated", "bwd_pruned_bound",
-                        "bwd_pruned_beta")
-        )
-        assert stats["labels_total"] == 2 + 10 + sum(st["fwd_created"] for st in levels)
-        assert stats["join_candidates"] == levels[-1]["fwd_created"]
-        assert report.objective == 16115
+        inst = generate_random(10, seed=5)
+        exact = solve(inst)
+        relaxed = solve(inst, SolverConfig(mode=HEURISTIC, theta=0.7, delta=0.01))
+        assert len(exact.stats["levels"]) == 10
+        # The relaxed search stops at the level whose frontier empties.
+        assert len(relaxed.stats["levels"]) < 10
+        for report in (exact, relaxed):
+            stats = report.stats
+            levels = stats["levels"]
+            assert levels[0]["bwd_created"] == 10
+            assert all(st["fwd_pruned_beta"] == 0 for st in levels)
+            assert all(
+                st[key] == 0
+                for st in levels[1:]
+                for key in ("bwd_created", "bwd_dominated", "bwd_pruned_bound",
+                            "bwd_pruned_beta")
+            )
+            assert stats["labels_total"] == \
+                2 + 10 + sum(st["fwd_created"] for st in levels)
+            assert stats["join_candidates"] == levels[-1]["fwd_created"]
+            assert report.objective == 16115

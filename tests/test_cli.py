@@ -16,7 +16,10 @@ def star_file(tmp_path, star):
 
 
 def run_cli(capsys, argv):
-    code = cli.main(argv)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -138,13 +141,13 @@ class TestSolve:
     def test_heuristic_flags_are_echoed(self, capsys, star_file):
         code, out, _ = run_cli(
             capsys,
-            ["solve", star_file, "--theta", "0.8", "--delta", "0.01",
-             "--heuristic-source-beta"],
+            ["solve", star_file, "--theta", "0.8", "--delta", "0.01"],
         )
         assert code == 0
         record = json.loads(out)
         assert record["proven_optimal"] is False
         assert record["config"]["theta"] == 0.8
+        assert record["config"]["delta"] == 0.01
 
     def test_durations_are_absorbed_before_solving(self, capsys, tmp_path, star):
         data = json.loads(inst_mod.dumps(star))
@@ -204,13 +207,6 @@ class TestBench:
         gid_row = next(ln for ln in rows if ",gid," in ln)
         assert gid_row.split(",")[3] != ""
 
-    def test_empty_set_is_header_only(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys, ["bench", "--dir", str(tmp_path), "--methods", "gid"]
-        )
-        assert code == 0
-        assert out.strip() == "instance,n,method,z,t_sec,gap_pct,proven_optimal,error"
-
     def test_relaxation_sweep_layout(self, capsys):
         # three relaxation settings side by side; the theta=1 column is the
         # exact method and must win or tie every row
@@ -244,6 +240,37 @@ class TestBench:
         )
         assert code == 2
         assert "unknown method" in err
+
+
+class TestUnusableInput:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bench", "--dir", "{tmp}/missing", "--methods", "gid"],
+             "instance directory not found"),
+            (["bench", "--dir", "{tmp}/empty", "--methods", "gid"],
+             "no *.json instance files"),
+            (["bench", "--n", "5", "--count", "0"], "--count must be >= 1, got 0"),
+            (["bench", "--n", "5", "--count", "-2"], "--count must be >= 1, got -2"),
+            (["export-mip", "{star}", "--big-m", "-1"], "big_m must be >= 0, got -1"),
+            (["bounds", "{star}", "--ub", "-5"], "upper bound must be >= 0, got -5"),
+            (["solve", "{star}", "--heuristic-source-beta"],
+             "unrecognized arguments: --heuristic-source-beta"),
+            (["bench", "--n", "4", "--methods", "bidp:0.8:0.01:hsb"],
+             "bad method token 'bidp:0.8:0.01:hsb'"),
+        ],
+        ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
+             "bench-count-negative", "export-mip-negative-big-m",
+             "bounds-negative-ub", "solve-source-cap-flag", "bench-source-cap-token"],
+    )
+    def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
+        (tmp_path / "empty").mkdir()
+        star_file = inst_mod.save(star, tmp_path / "star.json")
+        argv = [a.format(tmp=tmp_path, star=star_file) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
 
 class TestGenerate:
