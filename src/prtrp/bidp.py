@@ -10,8 +10,9 @@ A label is keyed by its configuration (visited mask, endpoint); within one
 level only the best value per configuration survives, since any completion
 of one path completes every path sharing its configuration. New labels are
 screened against the outgoing-path lower bound of bounds.BoundsTable
-relative to the incumbent upper bound, which is refreshed each level by
-greedily completing the best labels. The per-vertex position thresholds of
+relative to the incumbent upper bound: the better of the two greedy tours
+at the start, then refreshed after each level by greedily completing the
+UB_REFRESH_WIDTH (32) best labels. The per-vertex position thresholds of
 bounds.compute_beta are not applied during the search; they form the
 threshold table `prtrp bounds` prints.
 
@@ -31,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bounds import build_bounds_table
 from .errors import EngineLimitError
-from .heuristics import greedy_complete, greedy_distance, greedy_priority_distance
+from .heuristics import greedy_complete, greedy_incumbent
 from .instance import Instance, Route
 from .power_eval import (
     PrecedenceIndex,
@@ -48,6 +49,9 @@ HEURISTIC = "heuristic"
 # Parent labels expanded between two checks of the label cap and the
 # deadline inside a level.
 LIMIT_CHECK_EVERY = 256
+
+# Best labels greedily completed after each level to refresh the incumbent.
+UB_REFRESH_WIDTH = 32
 
 # Masks are machine words with bit v-1 per vertex; 6 low bits of a store key
 # hold the endpoint, so 63 fault vertices is the hard ceiling.
@@ -82,12 +86,13 @@ class SolverConfig:
     use_dominance and use_path_bounds switch the two prunings off, which
     leaves an unpruned reference search for tests. labels_cap and
     time_limit (seconds, 0 allowed) stop the search; None means no limit.
+    The incumbent refresh is not a knob: it completes a fixed
+    UB_REFRESH_WIDTH (32) best labels after each level.
     """
 
     mode: str = EXACT
     theta: float = 1.0
     delta: float = 0.0
-    ub_refresh_width: int = 32
     use_dominance: bool = True
     use_path_bounds: bool = True
     labels_cap: Optional[int] = None
@@ -102,8 +107,6 @@ class SolverConfig:
             raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
         if self.mode == EXACT and (self.theta_pct != 100 or self.delta_pct != 0):
             raise ValueError("exact mode requires theta=1 and delta=0")
-        if self.ub_refresh_width < 0:
-            raise ValueError("ub_refresh_width must be >= 0")
         if self.labels_cap is not None and self.labels_cap < 0:
             raise ValueError(f"labels_cap must be >= 0, got {self.labels_cap}")
         if self.time_limit is not None and not (
@@ -195,11 +198,7 @@ def solve(
     full = (1 << n) - 1
     wcount = make_disrupted_counter(index)
 
-    # Pre-processing: greedy incumbent.
-    incumbent = min(
-        (greedy_distance(instance, index), greedy_priority_distance(instance, index)),
-        key=lambda rt: (rt.objective, rt.order),
-    )
+    incumbent = greedy_incumbent(instance, index)
     ub = incumbent.objective
     inc_order = incumbent.order
 
@@ -296,15 +295,13 @@ def solve(
             break
 
         # Refresh the incumbent by greedily completing the best new labels.
-        if cfg.ub_refresh_width > 0 and frontier:
-            best_labels = heapq.nsmallest(
-                cfg.ub_refresh_width, frontier.values(), key=lambda lb: lb[0]
-            )
-            for lab in best_labels:
-                route = greedy_complete(instance, index, _forward_order(lab))
-                if route.objective < ub:
-                    ub = route.objective
-                    inc_order = route.order
+        for lab in heapq.nsmallest(
+            UB_REFRESH_WIDTH, frontier.values(), key=lambda lb: lb[0]
+        ):
+            route = greedy_complete(instance, index, _forward_order(lab))
+            if route.objective < ub:
+                ub = route.objective
+                inc_order = route.order
 
         u_trajectory.append(ub)
         if not frontier:

@@ -30,6 +30,8 @@ EXIT_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_ENGINE_LIMIT = 3
 
+METHODS = ("bidp", "gid", "gipd", "brute", "hk")
+
 
 def _load_instance(path: str) -> Instance:
     p = Path(path)
@@ -44,16 +46,17 @@ def _load_instance(path: str) -> Instance:
     return loaded
 
 
-def _solver_config(args, method: str) -> bidp.SolverConfig:
+def _solver_config(
+    args, method: str, theta: float, delta: float
+) -> bidp.SolverConfig:
     # Built in heuristic mode first, so that a bad value is reported under
     # its own field before theta and delta are rounded to percent.
     config = bidp.SolverConfig(
         mode=bidp.HEURISTIC,
-        theta=getattr(args, "theta", 1.0),
-        delta=getattr(args, "delta", 0.0),
-        ub_refresh_width=getattr(args, "ub_refresh", 32),
-        labels_cap=getattr(args, "labels_cap", None),
-        time_limit=getattr(args, "time_limit", None),
+        theta=theta,
+        delta=delta,
+        labels_cap=args.labels_cap,
+        time_limit=args.time_limit,
     )
     exact = method == "bidp" and config.theta_pct == 100 and config.delta_pct == 0
     return dataclasses.replace(config, mode=bidp.EXACT) if exact else config
@@ -90,7 +93,7 @@ def _recheck(inst: Instance, route) -> None:
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    config = _solver_config(args, args.method)
+    config = _solver_config(args, args.method, args.theta, args.delta)
     start = time.perf_counter()
     route, proven, stats = _run_method(inst, args.method, config)
     wall = time.perf_counter() - start
@@ -107,7 +110,6 @@ def cmd_solve(args) -> int:
         "config": {
             "theta": config.theta,
             "delta": config.delta,
-            "ub_refresh": config.ub_refresh_width,
             "labels_cap": config.labels_cap,
             "time_limit": config.time_limit,
         },
@@ -121,21 +123,26 @@ def _strip_timing(stats: Dict[str, object]) -> Dict[str, object]:
     return {k: v for k, v in stats.items() if k != "wall_time_sec"}
 
 
-def _parse_method_token(token: str) -> Tuple[str, str, Dict[str, object]]:
-    """Parse a bench method token: name[:theta[:delta]]."""
-    parts = token.split(":")
-    name = parts[0]
-    if name not in ("bidp", "gid", "gipd", "brute", "hk"):
+def _parse_method_token(token: str) -> Tuple[str, str, float, float]:
+    """Parse a bench method token: a method name, or bidp[:theta[:delta]]."""
+    name, *rest = token.split(":")
+    if name not in METHODS:
         raise ValueError(f"unknown method {name!r} in token {token!r}")
-    opts: Dict[str, object] = {"theta": 1.0, "delta": 0.0}
-    rest = parts[1:]
-    if rest:
-        opts["theta"] = float(rest[0])
-    if len(rest) > 1:
-        opts["delta"] = float(rest[1])
+    if rest and name != "bidp":
+        raise ValueError(f"method {name} takes no theta or delta, got {token!r}")
     if len(rest) > 2:
         raise ValueError(f"bad method token {token!r}")
-    return token, name, opts
+    theta = float(rest[0]) if rest else 1.0
+    delta = float(rest[1]) if len(rest) > 1 else 0.0
+    return token, name, theta, delta
+
+
+def _family_instance(family: str, n: int, seed: int, coord_range: int) -> Instance:
+    """A random instance, or its star reduction when family is "star"."""
+    made = inst_mod.generate_random(n, seed, coord_range)
+    if family == "star":
+        return inst_mod.generate_star_reduction(made.travel, name=f"star-n{n}-s{seed}")
+    return made
 
 
 def _bench_instances(args) -> List[Instance]:
@@ -151,43 +158,28 @@ def _bench_instances(args) -> List[Instance]:
         raise ValueError("bench needs --dir or --n/--count/--seed")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
-    out = []
-    for n in args.n:
-        for k in range(args.count):
-            seed = args.seed + k
-            if args.family == "star":
-                base = inst_mod.generate_random(n, seed, args.coord_range)
-                made = inst_mod.generate_star_reduction(
-                    base.travel, name=f"star-n{n}-s{seed}"
-                )
-            else:
-                made = inst_mod.generate_random(n, seed, args.coord_range)
-            out.append(made)
-    return out
+    return [
+        _family_instance(args.family, n, args.seed + k, args.coord_range)
+        for n in args.n
+        for k in range(args.count)
+    ]
 
 
 def cmd_bench(args) -> int:
     # The limits every method shares are checked once: a bad one is an
     # input error, not a failure of each row.
-    _solver_config(args, "bidp")
-    instances = _bench_instances(args)
+    _solver_config(args, "bidp", 1.0, 0.0)
     tokens = [_parse_method_token(t) for t in args.methods.split(",")]
+    instances = _bench_instances(args)
 
     rows = []
     results: Dict[str, Dict[str, Optional[int]]] = {}
     for inst in instances:
         results[inst.name] = {}
-        for token, name, opts in tokens:
-            ns = argparse.Namespace(
-                theta=opts["theta"],
-                delta=opts["delta"],
-                ub_refresh=args.ub_refresh,
-                labels_cap=args.labels_cap,
-                time_limit=args.time_limit,
-            )
+        for token, name, theta, delta in tokens:
             start = time.perf_counter()
             try:
-                config = _solver_config(ns, name)
+                config = _solver_config(args, name, theta, delta)
                 route, proven, _ = _run_method(inst, name, config)
                 wall = time.perf_counter() - start
                 _recheck(inst, route)
@@ -204,7 +196,7 @@ def cmd_bench(args) -> int:
     writer.writerow(
         ["instance", "n", "method", "z", "t_sec", "gap_pct", "proven_optimal", "error"]
     )
-    gaps: Dict[str, List[float]] = {token: [] for token, _, _ in tokens}
+    gaps: Dict[str, List[float]] = {token: [] for token, *_ in tokens}
     for name, n, token, z, wall, proven, err in rows:
         best = min(
             (v for v in results[name].values() if v is not None), default=None
@@ -219,7 +211,7 @@ def cmd_bench(args) -> int:
             gap = "0.00"
         tcell = "" if args.no_timing or wall is None else f"{wall:.3f}"
         writer.writerow([name, n, token, z, tcell, gap, str(proven).lower(), err])
-    for token, _, _ in tokens:
+    for token, *_ in tokens:
         vals = gaps[token]
         if not vals:
             continue
@@ -240,17 +232,10 @@ def cmd_generate(args) -> int:
             raise ValueError("generate --subtree needs --root")
         base = _load_instance(args.subtree)
         made = inst_mod.extract_subtree(base, args.root)
-    elif args.family == "star":
-        if args.n is None or args.seed is None:
-            raise ValueError("generate needs --n and --seed")
-        base = inst_mod.generate_random(args.n, args.seed, args.coord_range)
-        made = inst_mod.generate_star_reduction(
-            base.travel, name=f"star-n{args.n}-s{args.seed}"
-        )
+    elif args.n is None or args.seed is None:
+        raise ValueError("generate needs --n and --seed")
     else:
-        if args.n is None or args.seed is None:
-            raise ValueError("generate needs --n and --seed")
-        made = inst_mod.generate_random(args.n, args.seed, args.coord_range)
+        made = _family_instance(args.family, args.n, args.seed, args.coord_range)
 
     bad = inst_mod.validate(made)
     if bad:
@@ -270,9 +255,7 @@ def cmd_bounds(args) -> int:
     if args.ub is not None:
         ub = args.ub
     else:
-        gid = heuristics.greedy_distance(work, index)
-        gipd = heuristics.greedy_priority_distance(work, index)
-        ub = min(gid.objective, gipd.objective)
+        ub = heuristics.greedy_incumbent(work, index).objective
     beta = bounds.compute_beta(table, ub)
     n = work.n
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -416,13 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_flags(p):
-        p.add_argument("--theta", type=float, default=1.0,
-                       help="bound-acceptance fraction in (0,1], 1.0 = exact")
-        p.add_argument("--delta", type=float, default=0.0,
-                       help="per-level relaxation added to theta")
-        p.add_argument("--ub-refresh", type=int, default=32, dest="ub_refresh",
-                       help="greedy completions per level for the upper bound")
+    def add_limit_flags(p):
         p.add_argument("--labels-cap", type=int, default=None, dest="labels_cap",
                        help="abort when the label store exceeds this size")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
@@ -432,9 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--method", default="bidp",
-                         choices=["bidp", "gid", "gipd", "brute", "hk"])
-    add_solver_flags(p_solve)
+    p_solve.add_argument("--method", default="bidp", choices=METHODS)
+    p_solve.add_argument("--theta", type=float, default=1.0,
+                         help="bound-acceptance fraction in (0,1], 1.0 = exact")
+    p_solve.add_argument("--delta", type=float, default=0.0,
+                         help="per-level relaxation added to theta")
+    add_limit_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     p_bench = sub.add_parser("bench", help="compare methods over an instance set")
@@ -447,10 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--family", default="uniform", choices=["uniform", "star"])
     p_bench.add_argument("--methods", default="gid,gipd,bidp",
                          help="comma list; bidp accepts bidp:THETA:DELTA")
-    p_bench.add_argument("--ub-refresh", type=int, default=32, dest="ub_refresh")
-    p_bench.add_argument("--labels-cap", type=int, default=None, dest="labels_cap")
-    p_bench.add_argument("--time-limit", type=float, default=None, dest="time_limit")
-    p_bench.add_argument("--no-timing", action="store_true", dest="no_timing")
+    add_limit_flags(p_bench)
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("generate", help="write instance files")

@@ -1,6 +1,6 @@
 """Greedy construction heuristics and greedy completion of partial tours.
 
-All three return fully evaluated routes on zero-duration instances and are
+Each returns a fully evaluated route on a zero-duration instance and is
 deterministic: ties always go to the smallest vertex label.
 """
 
@@ -56,6 +56,14 @@ def greedy_priority_distance(instance: Instance, index: PrecedenceIndex) -> Rout
         unvisited.remove(best)
         cur = best
     return evaluate_route(instance, index, order)
+
+
+def greedy_incumbent(instance: Instance, index: PrecedenceIndex) -> Route:
+    """The better of the two greedy tours; a tie goes to the smaller order."""
+    return min(
+        (greedy_distance(instance, index), greedy_priority_distance(instance, index)),
+        key=lambda rt: (rt.objective, rt.order),
+    )
 
 
 def greedy_complete(

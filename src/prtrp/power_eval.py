@@ -28,10 +28,6 @@ class PrecedenceIndex:
     successor_count: Tuple[int, ...]
     ancestors: Tuple[int, ...]
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
 
 def build_index(instance: Instance) -> PrecedenceIndex:
     """Index a valid instance. O(n^2) mask construction."""
@@ -82,18 +78,13 @@ def make_disrupted_counter(index: PrecedenceIndex) -> Callable[[int], int]:
     Each counter owns its memo, so its memory lives as long as the counter.
     Values never depend on what was cached before.
     """
-    ancestors = index.ancestors
     n = index.n
     memo: Dict[int, int] = {0: n, (1 << n) - 1: 0}
 
     def count(repaired: int) -> int:
         v = memo.get(repaired)
         if v is None:
-            v = 0
-            for a in ancestors:
-                if a & repaired != a:
-                    v += 1
-            memo[repaired] = v
+            v = memo[repaired] = disrupted_count(index, repaired)
         return v
 
     return count

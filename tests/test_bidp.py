@@ -288,14 +288,6 @@ class TestSolveVariants:
         assert evaluate_route(inst, index, report.route.order).objective == \
             report.objective
 
-    def test_ub_refresh_zero_still_exact(self):
-        for k in range(8):
-            inst = generate_random(6, seed=2800 + k)
-            index = build_index(inst)
-            assert (
-                solve(inst, SolverConfig(ub_refresh_width=0), index).objective
-                == solve(inst, index=index).objective
-            )
 
 
 class TestReportShape:

@@ -146,8 +146,9 @@ class TestSolve:
         assert code == 0
         record = json.loads(out)
         assert record["proven_optimal"] is False
-        assert record["config"]["theta"] == 0.8
-        assert record["config"]["delta"] == 0.01
+        assert record["config"] == {
+            "theta": 0.8, "delta": 0.01, "labels_cap": None, "time_limit": None,
+        }
 
     def test_durations_are_absorbed_before_solving(self, capsys, tmp_path, star):
         data = json.loads(inst_mod.dumps(star))
@@ -258,14 +259,32 @@ class TestUnusableInput:
              "unrecognized arguments: --heuristic-source-beta"),
             (["bench", "--n", "4", "--methods", "bidp:0.8:0.01:hsb"],
              "bad method token 'bidp:0.8:0.01:hsb'"),
+            (["bench", "--n", "4", "--methods", "gid:0.5"],
+             "method gid takes no theta or delta, got 'gid:0.5'"),
+            (["solve", "{star}", "--ub-refresh", "8"],
+             "unrecognized arguments: --ub-refresh 8"),
+            (["solve", "{tmp}/wide-arc.json"],
+             "travel[0][2] exceeds the 64-bit range"),
+            (["solve", "{tmp}/wide-absorbed-arc.json"],
+             "travel[0][2] + duration exceeds the 64-bit range"),
         ],
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
-             "bounds-negative-ub", "solve-source-cap-flag", "bench-source-cap-token"],
+             "bounds-negative-ub", "solve-source-cap-flag", "bench-source-cap-token",
+             "bench-theta-on-greedy", "solve-ub-refresh-flag", "arc-past-64-bits",
+             "absorbed-arc-past-64-bits"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
         (tmp_path / "empty").mkdir()
         star_file = inst_mod.save(star, tmp_path / "star.json")
+        # Every arc must fit a signed 64-bit word, before and after the
+        # repair durations are folded into it.
+        data = json.loads(inst_mod.dumps(star))
+        data["travel"][0][2] = 2**63
+        (tmp_path / "wide-arc.json").write_text(json.dumps(data))
+        data["travel"][0][2] = 2**63 - 1
+        data["repair_durations"] = [0, 1, 0]
+        (tmp_path / "wide-absorbed-arc.json").write_text(json.dumps(data))
         argv = [a.format(tmp=tmp_path, star=star_file) for a in argv]
         code, out, err = run_cli(capsys, argv)
         assert code == 2

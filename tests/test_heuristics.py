@@ -9,6 +9,7 @@ from prtrp import (
     greedy_priority_distance,
     make_instance,
 )
+from prtrp.heuristics import greedy_incumbent
 
 
 class TestGreedyDistance:
@@ -110,6 +111,19 @@ class TestGreedyComplete:
             greedy_complete(star, star_index, (2, 2))
         with pytest.raises(ValueError):
             greedy_complete(star, star_index, (0,))
+
+
+class TestGreedyIncumbent:
+    def test_better_tour_wins_and_a_tie_goes_to_the_smaller_order(self):
+        winners = set()
+        for k in range(30):
+            inst = generate_random(8, seed=1500 + k)
+            index = build_index(inst)
+            tours = [greedy_distance(inst, index), greedy_priority_distance(inst, index)]
+            best = greedy_incumbent(inst, index)
+            assert best == min(tours, key=lambda rt: (rt.objective, rt.order))
+            winners.add(tours.index(best))
+        assert winners == {0, 1}
 
 
 class TestDeterminism:
