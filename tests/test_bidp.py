@@ -289,7 +289,6 @@ class TestSolveVariants:
             report.objective
 
 
-
 class TestReportShape:
     def test_stats_fields(self, star):
         report = solve(star)

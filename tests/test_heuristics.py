@@ -119,11 +119,18 @@ class TestGreedyIncumbent:
         for k in range(30):
             inst = generate_random(8, seed=1500 + k)
             index = build_index(inst)
-            tours = [greedy_distance(inst, index), greedy_priority_distance(inst, index)]
+            tours = [
+                greedy_distance(inst, index), greedy_priority_distance(inst, index)
+            ]
             best = greedy_incumbent(inst, index)
             assert best == min(tours, key=lambda rt: (rt.objective, rt.order))
             winners.add(tours.index(best))
         assert winners == {0, 1}
+        inst = generate_random(4, seed=11, coord_range=6)
+        index = build_index(inst)
+        gid, gipd = greedy_distance(inst, index), greedy_priority_distance(inst, index)
+        assert gid.objective == gipd.objective and gipd.order < gid.order
+        assert greedy_incumbent(inst, index) == gipd
 
 
 class TestDeterminism:
