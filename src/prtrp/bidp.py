@@ -8,11 +8,21 @@ as the outgoing side), and the one return leg that is left, from the last
 vertex into the depot, costs nothing because every vertex is then repaired.
 A label is keyed by its configuration (visited mask, endpoint); within one
 level only the best value per configuration survives, since any completion
-of one path completes every path sharing its configuration. New labels are
-screened against the outgoing-path lower bound of bounds.BoundsTable
-relative to the incumbent upper bound: the better of the two greedy tours
-at the start, then refreshed after each level by greedily completing the
-UB_REFRESH_WIDTH (32) best labels. The per-vertex position thresholds of
+of one path completes every path sharing its configuration.
+
+New labels are screened by the outgoing-path lower bound of
+bounds.BoundsTable against the incumbent upper bound ub: the better of the
+two greedy tours at the start, then refreshed after each level by greedily
+completing the UB_REFRESH_WIDTH (32) best labels. A label reaching level
+k+1 survives when its bound is at most (theta + k * delta) times ub. The
+part of that test fixed within a level is folded into one integer cut,
+
+    cut = (theta_pct + k * delta_pct) * ub // 100 - outgoing_tail[k + 1]
+
+and a candidate of value u with w vertices still dark is pruned when
+u + w * sorted_arcs[0] > cut. For an integer bound b, 100 * b > T holds
+exactly when b > T // 100, so the cut prunes the same labels as the
+percent-scaled test. The per-vertex position thresholds of
 bounds.compute_beta are not applied during the search; they form the
 threshold table `prtrp bounds` prints.
 
@@ -28,7 +38,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .bounds import build_bounds_table
 from .errors import EngineLimitError
@@ -37,8 +47,6 @@ from .instance import Instance, Route
 from .power_eval import (
     PrecedenceIndex,
     build_index,
-    check_partial,
-    disrupted_count,
     evaluate_route,
     make_disrupted_counter,
 )
@@ -76,15 +84,15 @@ _UNCOUNTED = {
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.
+    """Solver knobs, six fields.
 
     theta/delta drive the dynamic acceptance threshold: a label survives
     when its lower bound is at most (theta + level * delta) times the
-    incumbent upper bound. They are held to percent resolution so the
-    comparison stays in exact integers. Exact mode requires theta=1 and
-    delta=0.
-    use_dominance and use_path_bounds switch the two prunings off, which
-    leaves an unpruned reference search for tests. labels_cap and
+    incumbent upper bound. Both must be whole percents (0.83, not 0.835),
+    so the comparison stays in exact integers and no value is rounded
+    behind the caller's back. Exact mode requires theta=1 and delta=0.
+    use_dominance=False keys every label apart, the unpruned reference
+    search acceptance criterion 6 compares against. labels_cap and
     time_limit (seconds, 0 allowed) stop the search; None means no limit.
     The incumbent refresh is not a knob: it completes a fixed
     UB_REFRESH_WIDTH (32) best labels after each level.
@@ -94,18 +102,20 @@ class SolverConfig:
     theta: float = 1.0
     delta: float = 0.0
     use_dominance: bool = True
-    use_path_bounds: bool = True
     labels_cap: Optional[int] = None
     time_limit: Optional[float] = None
 
     def __post_init__(self):
         if self.mode not in (EXACT, HEURISTIC):
             raise ValueError(f"mode must be {EXACT!r} or {HEURISTIC!r}")
-        if not 0.0 < self.theta <= 1.0:
-            raise ValueError("theta must lie in (0, 1]")
-        if not (math.isfinite(self.delta) and self.delta >= 0.0):
-            raise ValueError(f"delta must be a finite number >= 0, got {self.delta}")
-        if self.mode == EXACT and (self.theta_pct != 100 or self.delta_pct != 0):
+        if not (0.0 < self.theta <= 1.0 and round(self.theta, 2) == self.theta):
+            raise ValueError("theta must be a whole percent in (0, 1]")
+        if not (
+            math.isfinite(self.delta) and self.delta >= 0.0
+            and round(self.delta, 2) == self.delta
+        ):
+            raise ValueError("delta must be a finite whole percent >= 0")
+        if self.mode == EXACT and (self.theta != 1.0 or self.delta != 0.0):
             raise ValueError("exact mode requires theta=1 and delta=0")
         if self.labels_cap is not None and self.labels_cap < 0:
             raise ValueError(f"labels_cap must be >= 0, got {self.labels_cap}")
@@ -134,27 +144,6 @@ class SolveReport:
     objective: int
     proven_optimal: bool
     stats: Dict[str, object] = field(default_factory=dict)
-
-
-def forward_value(
-    instance: Instance, index: PrecedenceIndex, order: Sequence[int]
-) -> int:
-    """Disruption accumulated by the outgoing path depot -> order[-1].
-
-    Each leg costs its travel time multiplied by the number of dark
-    vertices before the leg's destination is repaired; the first leg always
-    counts all n.
-    """
-    check_partial(instance.n, order)
-    travel = instance.travel
-    value = 0
-    mask = 0
-    prev = 0
-    for v in order:
-        value += disrupted_count(index, mask) * travel[prev][v]
-        mask |= 1 << (v - 1)
-        prev = v
-    return value
 
 
 def _forward_order(label: Label) -> Tuple[int, ...]:
@@ -207,7 +196,6 @@ def solve(
     out_tail = table.outgoing_tail
     theta_pct = cfg.theta_pct
     delta_pct = cfg.delta_pct
-    use_bounds = cfg.use_path_bounds
     dominance = cfg.use_dominance
 
     # Labels are keyed by configuration, so a new label meets the one it
@@ -237,11 +225,12 @@ def solve(
     cap_hit = False
 
     for level in range(n):
-        threshold = (theta_pct + level * delta_pct) * ub
+        # The outgoing-path bound against the level's threshold, with
+        # everything but the candidate's own terms moved to this side.
+        cut = (theta_pct + level * delta_pct) * ub // 100 - out_tail[level + 1]
         # Counters stay in locals: a dict update per candidate is not free.
         created = dominated = pruned_bound = 0
         nxt: Dict[int, Label] = {}
-        tail = out_tail[level + 1]
         for i, lab in enumerate(frontier.values()):
             if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + created):
                 break
@@ -255,9 +244,7 @@ def solve(
                 v = low.bit_length()
                 new_mask = mask | low
                 new_value = value + w * row[v]
-                if use_bounds and (
-                    new_value + wcount(new_mask) * s1 + tail
-                ) * 100 > threshold:
+                if new_value + wcount(new_mask) * s1 > cut:
                     pruned_bound += 1
                     continue
                 key = (new_mask << 6) | v if dominance else created

@@ -9,7 +9,7 @@ inequality). Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .instance import Instance
 from .power_eval import PrecedenceIndex
@@ -32,7 +32,10 @@ class BoundsTable:
     The next leg carries w dark vertices on at best the shortest arc; the
     remaining n-k-1 legs carry at least n-k-1, ..., 1 on the next shortest
     arcs (rearrangement inequality). For k = n, w and outgoing_tail[n] are
-    0 and the bound is u itself.
+    0 and the bound is u itself. The solver applies it as a per-level cut:
+    outgoing_tail[k] depends on the level alone, so it is subtracted once
+    from the level's threshold, and each candidate compares only
+    u + w * sorted_arcs[0] with the result (see bidp).
     """
 
     n: int
@@ -97,20 +100,17 @@ def position_lower_bound(table: BoundsTable, i: int, k: int) -> int:
     return a2[free] + si * (a1[k] - a1[free]) + (a2[n] - a2[k])
 
 
-def compute_beta(table: BoundsTable, upper: Optional[int]) -> List[int]:
+def compute_beta(table: BoundsTable, upper: int) -> List[int]:
     """Largest admissible position per vertex given an upper bound.
 
     Returns beta with beta[i-1] = (smallest applicable k whose position
     bound exceeds upper) - 1, or n when no position is ruled out. The
     position bound is non-decreasing in k on its applicable range, so the
-    first threshold settles all later positions. upper=None means no bound
-    is known and every position stays open; a negative upper raises
+    first threshold settles all later positions. A negative upper raises
     ValueError, since no tour has a negative objective.
     """
     n = table.n
     beta = [n] * n
-    if upper is None:
-        return beta
     if upper < 0:
         raise ValueError(f"upper bound must be >= 0, got {upper}")
     for i in range(1, n + 1):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -47,19 +46,22 @@ def _load_instance(path: str) -> Instance:
 
 
 def _solver_config(
-    args, method: str, theta: float, delta: float
+    args, method: str, theta: Optional[float] = None, delta: Optional[float] = None
 ) -> bidp.SolverConfig:
-    # Built in heuristic mode first, so that a bad value is reported under
-    # its own field before theta and delta are rounded to percent.
-    config = bidp.SolverConfig(
-        mode=bidp.HEURISTIC,
+    """The config one method runs with. theta and delta (None when not
+    given) belong to bidp alone; bidp at theta 1 and delta 0 is exact."""
+    if method != "bidp" and (theta is not None or delta is not None):
+        raise ValueError(f"method {method} takes no theta or delta")
+    theta = 1.0 if theta is None else theta
+    delta = 0.0 if delta is None else delta
+    exact = method == "bidp" and theta == 1 and delta == 0
+    return bidp.SolverConfig(
+        mode=bidp.EXACT if exact else bidp.HEURISTIC,
         theta=theta,
         delta=delta,
         labels_cap=args.labels_cap,
         time_limit=args.time_limit,
     )
-    exact = method == "bidp" and config.theta_pct == 100 and config.delta_pct == 0
-    return dataclasses.replace(config, mode=bidp.EXACT) if exact else config
 
 
 def _run_method(inst: Instance, method: str, config: bidp.SolverConfig):
@@ -123,18 +125,18 @@ def _strip_timing(stats: Dict[str, object]) -> Dict[str, object]:
     return {k: v for k, v in stats.items() if k != "wall_time_sec"}
 
 
-def _parse_method_token(token: str) -> Tuple[str, str, float, float]:
-    """Parse a bench method token: a method name, or bidp[:theta[:delta]]."""
+def _parse_method_token(args, token: str) -> Tuple[str, str, bidp.SolverConfig]:
+    """Parse a bench method token, a method name or bidp[:theta[:delta]],
+    into (token, method, config)."""
     name, *rest = token.split(":")
     if name not in METHODS:
         raise ValueError(f"unknown method {name!r} in token {token!r}")
-    if rest and name != "bidp":
-        raise ValueError(f"method {name} takes no theta or delta, got {token!r}")
     if len(rest) > 2:
         raise ValueError(f"bad method token {token!r}")
-    theta = float(rest[0]) if rest else 1.0
-    delta = float(rest[1]) if len(rest) > 1 else 0.0
-    return token, name, theta, delta
+    try:
+        return token, name, _solver_config(args, name, *map(float, rest))
+    except ValueError as exc:
+        raise ValueError(f"{exc}, got {token!r}") from None
 
 
 def _family_instance(family: str, n: int, seed: int, coord_range: int) -> Instance:
@@ -166,20 +168,19 @@ def _bench_instances(args) -> List[Instance]:
 
 
 def cmd_bench(args) -> int:
-    # The limits every method shares are checked once: a bad one is an
-    # input error, not a failure of each row.
-    _solver_config(args, "bidp", 1.0, 0.0)
-    tokens = [_parse_method_token(t) for t in args.methods.split(",")]
+    # The limits every method shares, then each token's config, are checked
+    # once: a bad one is an input error, not a failure of each row.
+    _solver_config(args, "bidp")
+    tokens = [_parse_method_token(args, t) for t in args.methods.split(",")]
     instances = _bench_instances(args)
 
     rows = []
     results: Dict[str, Dict[str, Optional[int]]] = {}
     for inst in instances:
         results[inst.name] = {}
-        for token, name, theta, delta in tokens:
+        for token, name, config in tokens:
             start = time.perf_counter()
             try:
-                config = _solver_config(args, name, theta, delta)
                 route, proven, _ = _run_method(inst, name, config)
                 wall = time.perf_counter() - start
                 _recheck(inst, route)
@@ -410,10 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_solve.add_argument("instance")
     p_solve.add_argument("--method", default="bidp", choices=METHODS)
-    p_solve.add_argument("--theta", type=float, default=1.0,
-                         help="bound-acceptance fraction in (0,1], 1.0 = exact")
-    p_solve.add_argument("--delta", type=float, default=0.0,
-                         help="per-level relaxation added to theta")
+    p_solve.add_argument("--theta", type=float, default=None,
+                         help="bidp only: bound-acceptance fraction in (0,1], "
+                         "a whole percent; 1.0 (default) = exact")
+    p_solve.add_argument("--delta", type=float, default=None,
+                         help="bidp only: per-level relaxation added to theta, "
+                         "a whole percent; default 0")
     add_limit_flags(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -33,22 +33,6 @@ class MipModel:
     big_m: int
     linkage: Tuple[Tuple[int, int], ...]
 
-    @property
-    def num_binaries(self) -> int:
-        return (self.n + 1) * self.n
-
-    @property
-    def num_degree_rows(self) -> int:
-        return 2 * (self.n + 1)
-
-    @property
-    def num_bigm_rows(self) -> int:
-        return self.n * self.n
-
-    @property
-    def num_linkage_rows(self) -> int:
-        return len(self.linkage)
-
 
 def build_model(
     instance: Instance, index: PrecedenceIndex, big_m: Optional[int] = None

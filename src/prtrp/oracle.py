@@ -67,15 +67,12 @@ def brute_force(instance: Instance, index: PrecedenceIndex) -> Route:
     return evaluate_route(instance, index, best_order)
 
 
-def held_karp_forward(
-    instance: Instance, index: Optional[PrecedenceIndex] = None
-) -> Route:
+def held_karp_forward(instance: Instance) -> Route:
     """Plain forward subset DP over (visited set, endpoint) states.
 
     No pruning of any kind; states cost O(2^n * n^2) time and O(2^n * n)
-    memory, so the vertex cap is low. The index argument is accepted for
-    signature symmetry but everything, including the ancestor masks, is
-    rebuilt here from the raw instance.
+    memory, so the vertex cap is low. Everything, including the ancestor
+    masks, is rebuilt here from the raw instance.
     """
     n = instance.n
     if n > SUBSET_DP_LIMIT:

@@ -17,7 +17,6 @@ from prtrp import (
     build_index,
     build_model,
     check_assignment,
-    disrupted_count,
     encode_route,
     evaluate_route,
     generate_random,
@@ -26,9 +25,15 @@ from prtrp import (
     solve,
     write_lp_text,
 )
-from prtrp.bidp import HEURISTIC, forward_value
+from prtrp.bidp import HEURISTIC
 
-from helpers import ancestor_sets, dark_profile, leg_sum_objective, random_orders
+from helpers import (
+    ancestor_sets,
+    dark_count,
+    dark_profile,
+    leg_sum_objective,
+    random_orders,
+)
 from lp_lint import lint_lp
 
 SMALL_COUNT = 200  # n in [4, 9], criterion 1 set
@@ -199,15 +204,14 @@ def test_criterion_04_pruning_soundness():
         index = build_index(inst)
         table = build_bounds_table(inst, index)
         best_at, best_prefix = _enumeration_tables(inst)
+        anc = ancestor_sets(inst)
         n = inst.n
         for prefix, best in best_prefix.items():
-            visited = 0
-            for v in prefix:
-                visited |= 1 << (v - 1)
-            # the outgoing-path bound as the solver applies it (BoundsTable)
+            # the outgoing-path bound as the solver applies it (BoundsTable),
+            # with the prefix value and dark count from the test helpers
             lb = (
-                forward_value(inst, index, prefix)
-                + disrupted_count(index, visited) * table.sorted_arcs[0]
+                leg_sum_objective(inst, prefix)
+                + dark_count(anc, prefix) * table.sorted_arcs[0]
                 + table.outgoing_tail[len(prefix)]
             )
             assert lb <= best, (inst.name, prefix, lb, best)

@@ -12,7 +12,7 @@ from prtrp import (
     solve,
 )
 from prtrp import bidp
-from prtrp.bidp import EXACT, HEURISTIC, forward_value
+from prtrp.bidp import EXACT, HEURISTIC
 
 from helpers import (
     ancestor_sets,
@@ -43,21 +43,6 @@ def expansions(monkeypatch):
     return counter
 
 
-class TestPathValues:
-    def test_forward_star(self, star, star_index):
-        assert forward_value(star, star_index, (1,)) == 3
-        assert forward_value(star, star_index, (1, 2)) == 5
-        assert forward_value(star, star_index, (2, 3)) == 9
-
-    def test_full_paths_meet_the_route_objective(self, star, star_index):
-        route = evaluate_route(star, star_index, (2, 3, 1))
-        assert forward_value(star, star_index, (2, 3, 1)) == route.objective
-
-    def test_rejects_duplicates(self, star, star_index):
-        with pytest.raises(ValueError):
-            forward_value(star, star_index, (1, 1))
-
-
 class TestSolverConfig:
     def test_exact_mode_rejects_relaxation(self):
         with pytest.raises(ValueError):
@@ -71,6 +56,11 @@ class TestSolverConfig:
         cfg = SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.01)
         assert cfg.theta_pct == 80
         assert cfg.delta_pct == 1
+        # Values off the percent grid are rejected, not rounded.
+        with pytest.raises(ValueError, match="^theta must be"):
+            SolverConfig(mode=HEURISTIC, theta=0.996)
+        with pytest.raises(ValueError, match="^delta must be"):
+            SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.015)
 
 
 class TestSolveExact:
@@ -155,15 +145,6 @@ class TestSolveVariants:
             index = build_index(inst)
             on = solve(inst, index=index).objective
             off = solve(inst, SolverConfig(use_dominance=False), index).objective
-            assert on == off, inst.name
-
-    def test_all_pruning_off_objective_unchanged(self):
-        for k in range(16):
-            n = 4 + k % 5
-            inst = generate_random(n, seed=2000 + k)
-            index = build_index(inst)
-            on = solve(inst, index=index).objective
-            off = solve(inst, SolverConfig(use_path_bounds=False), index).objective
             assert on == off, inst.name
 
     def test_heuristic_mode_theta_one_equals_exact(self):
@@ -287,6 +268,36 @@ class TestSolveVariants:
         index = build_index(inst)
         assert evaluate_route(inst, index, report.route.order).objective == \
             report.objective
+
+
+class TestBoundCut:
+    # Per level (fwd_created, fwd_pruned_bound) of generate_random(10, seed=1).
+    # A cut one unit looser or tighter than the bound test moves these
+    # counts, while the objective can stay the same.
+    EXACT_LEVELS = [
+        (10, 0), (78, 12), (227, 295), (354, 1007), (334, 1496),
+        (149, 1357), (66, 463), (22, 164), (4, 39), (1, 3),
+    ]
+    RELAXED_LEVELS = [
+        (10, 0), (49, 41), (111, 253), (137, 598), (97, 663),
+        (31, 437), (8, 115), (0, 24),
+    ]
+
+    @pytest.mark.parametrize(
+        "config, levels",
+        [
+            (SolverConfig(), EXACT_LEVELS),
+            (SolverConfig(mode=HEURISTIC, theta=0.83, delta=0.01), RELAXED_LEVELS),
+        ],
+        ids=["exact", "theta-0.83-delta-0.01"],
+    )
+    def test_per_level_counts_are_pinned(self, config, levels):
+        report = solve(generate_random(10, seed=1), config)
+        got = [(st["fwd_created"], st["fwd_pruned_bound"])
+               for st in report.stats["levels"]]
+        assert got == levels
+        assert report.objective == 19020
+        assert report.route.order == (8, 3, 2, 7, 10, 6, 5, 4, 1, 9)
 
 
 class TestReportShape:

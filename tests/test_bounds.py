@@ -7,13 +7,13 @@ from prtrp import (
     build_bounds_table,
     build_index,
     compute_beta,
-    disrupted_count,
     evaluate_route,
     generate_random,
     greedy_distance,
     position_lower_bound,
 )
-from prtrp import bidp
+
+from helpers import ancestor_sets, dark_count, leg_sum_objective
 
 
 @pytest.fixture
@@ -67,9 +67,6 @@ class TestComputeBeta:
         assert ub == 6
         assert compute_beta(star_table, ub) == [1, 3, 3]
 
-    def test_infinite_bound_keeps_everything(self, star_table):
-        assert compute_beta(star_table, None) == [3, 3, 3]
-
     def test_beta_never_cuts_the_optimum(self):
         # with U = optimal objective, the optimal route respects every beta
         for k in range(15):
@@ -115,14 +112,12 @@ class TestPathLowerBounds:
                     pre = perm[:L]
                     if obj < best_for_prefix.get(pre, 1 << 62):
                         best_for_prefix[pre] = obj
+            anc = ancestor_sets(inst)
             for pre, best in best_for_prefix.items():
-                visited = 0
-                for v in pre:
-                    visited |= 1 << (v - 1)
                 lb = outgoing_bound(
                     table,
-                    bidp.forward_value(inst, index, pre),
+                    leg_sum_objective(inst, pre),
                     len(pre),
-                    disrupted_count(index, visited),
+                    dark_count(anc, pre),
                 )
                 assert lb <= best, (inst.name, pre)

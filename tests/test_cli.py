@@ -102,6 +102,9 @@ class TestSolve:
             ("--time-limit", "-1", "time_limit"),
             ("--labels-cap", "-3", "labels_cap"),
             ("--delta", "nan", "delta"),
+            ("--theta", "0.996", "theta"),
+            ("--theta", "0.704", "theta"),
+            ("--delta", "0.015", "delta"),
         ],
     )
     def test_bad_limit_exits_2_naming_the_field(
@@ -263,6 +266,12 @@ class TestUnusableInput:
              "method gid takes no theta or delta, got 'gid:0.5'"),
             (["solve", "{star}", "--ub-refresh", "8"],
              "unrecognized arguments: --ub-refresh 8"),
+            (["solve", "{star}", "--method", "gid", "--theta", "0.5"],
+             "method gid takes no theta or delta"),
+            (["bench", "--n", "4", "--methods", "gid,bidp:1.5"],
+             "theta must be a whole percent in (0, 1], got 'bidp:1.5'"),
+            (["bench", "--n", "4", "--methods", "bidp:0.996"],
+             "theta must be a whole percent in (0, 1], got 'bidp:0.996'"),
             (["solve", "{tmp}/wide-arc.json"],
              "travel[0][2] exceeds the 64-bit range"),
             (["solve", "{tmp}/wide-absorbed-arc.json"],
@@ -271,7 +280,8 @@ class TestUnusableInput:
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
              "bounds-negative-ub", "solve-source-cap-flag", "bench-source-cap-token",
-             "bench-theta-on-greedy", "solve-ub-refresh-flag", "arc-past-64-bits",
+             "bench-theta-on-greedy", "solve-ub-refresh-flag", "solve-theta-on-greedy",
+             "bench-theta-above-one", "bench-theta-off-percent", "arc-past-64-bits",
              "absorbed-arc-past-64-bits"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):

@@ -21,7 +21,6 @@ from prtrp import (  # noqa: E402
     build_index,
     build_model,
     check_assignment,
-    disrupted_count,
     encode_route,
     evaluate_route,
     make_instance,
@@ -29,9 +28,13 @@ from prtrp import (  # noqa: E402
     validate,
 )
 from prtrp import instance as inst_mod  # noqa: E402
-from prtrp.bidp import forward_value  # noqa: E402
 
-from helpers import sim_objective_with_durations  # noqa: E402
+from helpers import (  # noqa: E402
+    ancestor_sets,
+    dark_count,
+    leg_sum_objective,
+    sim_objective_with_durations,
+)
 
 EXAMPLES = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
@@ -82,12 +85,9 @@ def test_solve_matches_brute_force(inst):
 def test_pruning_switches_leave_the_result_unchanged(inst):
     index = build_index(inst)
     default = solve(inst, index=index)
-    for config in (
-        SolverConfig(use_dominance=False), SolverConfig(use_path_bounds=False)
-    ):
-        other = solve(inst, config, index)
-        assert (other.objective, other.route.order) == \
-            (default.objective, default.route.order), config
+    other = solve(inst, SolverConfig(use_dominance=False), index)
+    assert (other.objective, other.route.order) == \
+        (default.objective, default.route.order)
 
 
 @EXAMPLES
@@ -102,14 +102,12 @@ def test_table_bound_below_best_completion_of_every_prefix(inst):
         for k in range(1, n + 1):
             if obj < best.get(perm[:k], obj + 1):
                 best[perm[:k]] = obj
+    anc = ancestor_sets(inst)
     for prefix, completion in best.items():
-        visited = 0
-        for v in prefix:
-            visited |= 1 << (v - 1)
         # the outgoing-path bound as the solver applies it (BoundsTable)
         bound = (
-            forward_value(inst, index, prefix)
-            + disrupted_count(index, visited) * table.sorted_arcs[0]
+            leg_sum_objective(inst, prefix)
+            + dark_count(anc, prefix) * table.sorted_arcs[0]
             + table.outgoing_tail[len(prefix)]
         )
         assert bound <= completion, prefix
