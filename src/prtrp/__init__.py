@@ -8,7 +8,9 @@ mixed-integer model export.
 from .bidp import EXACT, HEURISTIC, SolveReport, SolverConfig, solve
 from .bounds import (
     BoundsTable,
+    WalkTable,
     build_bounds_table,
+    build_walk_table,
     compute_beta,
     position_lower_bound,
 )
@@ -45,11 +47,13 @@ __all__ = [
     "Route",
     "SolveReport",
     "SolverConfig",
+    "WalkTable",
     "absorb_repair_durations",
     "brute_force",
     "build_bounds_table",
     "build_index",
     "build_model",
+    "build_walk_table",
     "check_assignment",
     "compute_beta",
     "disrupted_count",

@@ -10,21 +10,28 @@ A label is keyed by its configuration (visited mask, endpoint); within one
 level only the best value per configuration survives, since any completion
 of one path completes every path sharing its configuration.
 
-New labels are screened by the outgoing-path lower bound of
-bounds.BoundsTable against the incumbent upper bound ub: the better of the
-two greedy tours at the start, then refreshed after each level by greedily
-completing the UB_REFRESH_WIDTH (32) best labels. A label reaching level
-k+1 survives when its bound is at most (theta + k * delta) times ub. The
-part of that test fixed within a level is folded into one integer cut,
+New labels are screened by the walk-relaxation bound of bounds.WalkTable
+against the incumbent upper bound ub: the better of two local-search
+descents (heuristics.descent), one from each greedy tour, at the start,
+then refreshed after each level by greedily completing the
+UB_REFRESH_WIDTH (32) best labels. A label reaching level k+1 survives
+when its bound is at most (theta + k * delta) times ub. That threshold is
+one integer cut per level,
 
-    cut = (theta_pct + k * delta_pct) * ub // 100 - outgoing_tail[k + 1]
+    cut = (theta_pct + k * delta_pct) * ub // 100
 
-and a candidate of value u with w vertices still dark is pruned when
-u + w * sorted_arcs[0] > cut. For an integer bound b, 100 * b > T holds
-exactly when b > T // 100, so the cut prunes the same labels as the
-percent-scaled test. The per-vertex position thresholds of
-bounds.compute_beta are not applied during the search; they form the
-threshold table `prtrp bounds` prints.
+and a candidate of value u ending at v, with r = n-k-1 legs left, is
+pruned when
+
+    u + H[r][v] + (w - r) * minout[v] > cut   (source repaired, w dark)
+    u + G[r][v] > cut                          (source still dark)
+
+The second needs no dark count: while the source is dark, so is every
+vertex. For an integer bound b, 100 * b > T holds exactly when
+b > T // 100, so the cut prunes the same labels as the percent-scaled
+test. The per-vertex position thresholds of bounds.compute_beta are not
+applied during the search; they form the threshold table `prtrp bounds`
+prints.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -40,9 +47,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .bounds import build_bounds_table
+from .bounds import build_walk_table
 from .errors import EngineLimitError
-from .heuristics import greedy_complete, greedy_incumbent
+from .heuristics import (
+    descent,
+    greedy_complete,
+    greedy_distance,
+    greedy_priority_distance,
+)
 from .instance import Instance, Route
 from .power_eval import (
     PrecedenceIndex,
@@ -165,8 +177,10 @@ def solve(
 
     Exact mode returns a provably optimal route. Heuristic mode returns the
     best route found with proven_optimal False. A passed time limit falls
-    back to the incumbent greedy-completed route; so does a passed label cap
-    in heuristic mode, while exact mode raises EngineLimitError.
+    back to the incumbent, the descents' best tour or a better greedy
+    completion; so does a passed label cap in heuristic mode, while exact
+    mode raises EngineLimitError. The descents stop at the deadline too,
+    so at time_limit=0 the incumbent is the better greedy tour.
     """
     cfg = config or SolverConfig()
     n = instance.n
@@ -187,13 +201,24 @@ def solve(
     full = (1 << n) - 1
     wcount = make_disrupted_counter(index)
 
-    incumbent = greedy_incumbent(instance, index)
+    # The incumbent: a descent from each greedy tour, the better one
+    # (objective, then order) kept.
+    incumbent = min(
+        (
+            descent(instance, index, greedy.order, deadline)
+            for greedy in (
+                greedy_distance(instance, index),
+                greedy_priority_distance(instance, index),
+            )
+        ),
+        key=lambda rt: (rt.objective, rt.order),
+    )
     ub = incumbent.objective
     inc_order = incumbent.order
 
-    table = build_bounds_table(instance, index)
-    s1 = table.sorted_arcs[0]
-    out_tail = table.outgoing_tail
+    walks = build_walk_table(instance, index)
+    minout = walks.minout
+    src_bit = 1 << (index.source - 1)
     theta_pct = cfg.theta_pct
     delta_pct = cfg.delta_pct
     dominance = cfg.use_dominance
@@ -225,9 +250,12 @@ def solve(
     cap_hit = False
 
     for level in range(n):
-        # The outgoing-path bound against the level's threshold, with
-        # everything but the candidate's own terms moved to this side.
-        cut = (theta_pct + level * delta_pct) * ub // 100 - out_tail[level + 1]
+        # The level's acceptance threshold and the walk bound's rows for
+        # the r legs left after the candidate (see bounds.WalkTable).
+        cut = (theta_pct + level * delta_pct) * ub // 100
+        r = n - level - 1
+        h_r = walks.H[r]
+        g_r = walks.G[r]
         # Counters stay in locals: a dict update per candidate is not free.
         created = dominated = pruned_bound = 0
         nxt: Dict[int, Label] = {}
@@ -235,7 +263,9 @@ def solve(
             if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + created):
                 break
             value, mask, endpoint, _ = lab
-            w = wcount(mask)
+            # While the source is dark, so is every vertex.
+            dark = mask & src_bit == 0
+            w = n if dark else wcount(mask)
             row = travel[endpoint]
             rem = full ^ mask
             while rem:
@@ -244,7 +274,15 @@ def solve(
                 v = low.bit_length()
                 new_mask = mask | low
                 new_value = value + w * row[v]
-                if new_value + wcount(new_mask) * s1 > cut:
+                if dark and low != src_bit:
+                    bound = new_value + g_r[v]
+                else:
+                    # The dark count is looked up only when the w >= r
+                    # floor does not prune already.
+                    bound = new_value + h_r[v]
+                    if bound <= cut:
+                        bound += (wcount(new_mask) - r) * minout[v]
+                if bound > cut:
                     pruned_bound += 1
                     continue
                 key = (new_mask << 6) | v if dominance else created

@@ -1,48 +1,40 @@
-"""Pruning bounds from sorted arc lengths and the power-tree structure.
+"""Pruning bounds from arc lengths and the power-tree structure.
 
-All bounds share one idea: the number of dark vertices per travel leg is
-non-increasing along a tour, so pairing a best-case dark-count vector with
-the sorted shortest arcs lower-bounds any completion (rearrangement
-inequality). Everything is exact integer arithmetic.
+Both kinds rest on one fact: every vertex not yet reached is dark, so the
+k-th last leg of a tour carries at least k dark vertices. The position
+bounds (BoundsTable) pair best-case dark counts with the sorted shortest
+arcs (rearrangement inequality); the walk bound the solver prunes with
+(WalkTable) follows cheap walks out of a path's endpoint instead.
+Everything is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .instance import Instance
 from .power_eval import PrecedenceIndex
 
+# Cost of a walk that does not exist; it never reaches a stored table.
+_NO_WALK = float("inf")
+
 
 @dataclass
 class BoundsTable:
-    """Sorted arc lengths with the prefix/tail sums the bound queries need.
+    """Sorted arc lengths with the prefix sums the position bounds need.
 
     sorted_arcs covers all (n+1)*n directed arcs, depot arcs included.
     prefix_plain[j] is the sum of the j shortest arcs; prefix_weighted[j]
-    weights arc p by (n-p+1), defined for j <= n.
-
-    outgoing_tail[k] serves the outgoing-path bound the solver applies to
-    a path from the depot through k vertices, with accumulated disruption
-    u and w vertices still dark at its end:
-
-        u + w * sorted_arcs[0] + outgoing_tail[k]
-
-    The next leg carries w dark vertices on at best the shortest arc; the
-    remaining n-k-1 legs carry at least n-k-1, ..., 1 on the next shortest
-    arcs (rearrangement inequality). For k = n, w and outgoing_tail[n] are
-    0 and the bound is u itself. The solver applies it as a per-level cut:
-    outgoing_tail[k] depends on the level alone, so it is subtracted once
-    from the level's threshold, and each candidate compares only
-    u + w * sorted_arcs[0] with the result (see bidp).
+    weights arc p by (n-p+1), defined for j <= n. The table serves the
+    position bounds of compute_beta and `prtrp bounds`; the solver prunes
+    with the walk bound of WalkTable instead and never builds it.
     """
 
     n: int
     sorted_arcs: Tuple[int, ...]
     prefix_plain: Tuple[int, ...]
     prefix_weighted: Tuple[int, ...]
-    outgoing_tail: Tuple[int, ...]
     successor_count: Tuple[int, ...]
 
 
@@ -61,18 +53,11 @@ def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTabl
     for p in range(1, n + 1):
         prefix_weighted[p] = prefix_weighted[p - 1] + (n - p + 1) * arcs[p - 1]
 
-    # outgoing_tail[k] = sum_{p=2}^{n-k} (n-k+1-p) s_p
-    outgoing_tail = [0] * (n + 1)
-    for k in range(n + 1):
-        q = n - k
-        outgoing_tail[k] = sum((q + 1 - p) * arcs[p - 1] for p in range(2, q + 1))
-
     return BoundsTable(
         n=n,
         sorted_arcs=tuple(arcs),
         prefix_plain=tuple(prefix_plain),
         prefix_weighted=tuple(prefix_weighted),
-        outgoing_tail=tuple(outgoing_tail),
         successor_count=index.successor_count,
     )
 
@@ -120,3 +105,90 @@ def compute_beta(table: BoundsTable, upper: int) -> List[int]:
                 beta[i - 1] = k - 1
                 break
     return beta
+
+
+class WalkTable(NamedTuple):
+    """Walk-relaxation completion bounds for the label search.
+
+    A path that ends at v with r legs left to drive and w vertices dark
+    completes at cost at least
+
+        H[r][v] + (w - r) * minout[v]   once the source is repaired,
+        G[r][v]                         while the source is dark.
+
+    The t-th of the r legs left carries at least r - t + 1 dark vertices,
+    one per vertex not yet reached, and the first carries exactly w >= r.
+    H[r][v] is the cheapest r-leg walk out of v with leg weights r, ..., 1,
+    and minout[v], v's shortest arc, pays the first leg's w - r extra dark
+    vertices. While the source is dark so is every vertex, so G[r][v]
+    weighs every leg up to and including the one into the source n, which
+    is also the path's exact dark count, and the legs after it as H does.
+    Walks run over the fault vertices alone (the depot is never a later
+    stop) and may revisit a vertex, but never turn straight back
+    (x -> y -> x). G[r][source] is H[r][source], since a walk standing on
+    the source has repaired it, and G[0] is all zero: no path ends with the
+    source dark and no legs left. Rows run over r = 0..n-1 and columns over
+    vertex labels; column 0, the depot, is unused.
+    """
+
+    H: Tuple[Tuple[int, ...], ...]
+    G: Tuple[Tuple[int, ...], ...]
+    minout: Tuple[int, ...]
+
+
+def _one_leg_longer(travel, n: int, weight: int, walks):
+    """Walks out of every vertex, one leg longer than `walks`.
+
+    walks is (best, first, second) per vertex: the cheapest walk, its first
+    stop, and the cheapest walk with another first stop. The new first leg
+    v -> x costs weight * d(v, x) and continues with x's cheapest walk that
+    does not step straight back to v. O(n^2).
+    """
+    best, first, second = walks
+    new_best = [0] * (n + 1)
+    new_first = [0] * (n + 1)
+    new_second = [_NO_WALK] * (n + 1)
+    for v in range(1, n + 1):
+        row = travel[v]
+        b1 = b2 = _NO_WALK
+        f = 0
+        for x in range(1, n + 1):
+            if x == v:
+                continue
+            c = weight * row[x] + (second[x] if first[x] == v else best[x])
+            if c < b1:
+                b1, b2, f = c, b1, x
+            elif c < b2:
+                b2 = c
+        new_best[v], new_first[v], new_second[v] = b1, f, b2
+    return new_best, new_first, new_second
+
+
+def build_walk_table(instance: Instance, index: PrecedenceIndex) -> WalkTable:
+    """H, G and minout of the walk bound; O(n^3) exact integer work.
+
+    Walks of r <= n-1 legs always exist without a straight turn-back, so
+    every stored entry is a finite integer.
+    """
+    n = instance.n
+    travel = instance.travel
+    source = index.source
+    minout = [0] * (n + 1)
+    for v in range(1, n + 1):
+        minout[v] = min((travel[v][x] for x in range(1, n + 1) if x != v), default=0)
+
+    # First stop 0 marks the empty walk, which has no turn-back to avoid.
+    h = ([0] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))
+    g = ([_NO_WALK] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))
+    for part, h_part in zip(g, h):
+        part[source] = h_part[source]
+    H = [tuple(h[0])]
+    G = [(0,) * (n + 1)]
+    for r in range(1, n):
+        h = _one_leg_longer(travel, n, r, h)
+        g = _one_leg_longer(travel, n, n, g)
+        for part, h_part in zip(g, h):
+            part[source] = h_part[source]
+        H.append(tuple(h[0]))
+        G.append(tuple(g[0]))
+    return WalkTable(H=tuple(H), G=tuple(G), minout=tuple(minout))

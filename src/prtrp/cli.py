@@ -64,6 +64,21 @@ def _solver_config(
     )
 
 
+def _limits_need_bidp(args, methods: Sequence[str]) -> None:
+    """--labels-cap and --time-limit bound the bidp search alone: refuse
+    them, rather than ignore them, when no method given is bidp."""
+    given = [
+        flag
+        for flag, value in (("--labels-cap", args.labels_cap),
+                            ("--time-limit", args.time_limit))
+        if value is not None
+    ]
+    if given and "bidp" not in methods:
+        raise ValueError(
+            f"only bidp takes {' or '.join(given)}, not {','.join(methods)}"
+        )
+
+
 def _run_method(inst: Instance, method: str, config: bidp.SolverConfig):
     """Solve with one method; returns (route, proven_optimal, stats)."""
     work = inst_mod.absorb_repair_durations(inst)
@@ -96,6 +111,7 @@ def _recheck(inst: Instance, route) -> None:
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     config = _solver_config(args, args.method, args.theta, args.delta)
+    _limits_need_bidp(args, [args.method])
     start = time.perf_counter()
     route, proven, stats = _run_method(inst, args.method, config)
     wall = time.perf_counter() - start
@@ -172,6 +188,7 @@ def cmd_bench(args) -> int:
     # once: a bad one is an input error, not a failure of each row.
     _solver_config(args, "bidp")
     tokens = [_parse_method_token(args, t) for t in args.methods.split(",")]
+    _limits_need_bidp(args, [name for _, name, _ in tokens])
     instances = _bench_instances(args)
 
     rows = []

@@ -57,6 +57,21 @@ def leg_sum_objective(instance, order: Sequence[int]) -> int:
     return total
 
 
+def walk_bound(walks, instance, anc, prefix: Sequence[int]) -> int:
+    """The solver's walk bound on completing an outgoing prefix.
+
+    walks is the WalkTable under test; the prefix value and its dark count
+    are computed here from the raw instance (anc from ancestor_sets).
+    """
+    r = instance.n - len(prefix)
+    v = prefix[-1]
+    value = leg_sum_objective(instance, prefix)
+    if instance.source in prefix:
+        w = dark_count(anc, prefix)
+        return value + walks.H[r][v] + (w - r) * walks.minout[v]
+    return value + walks.G[r][v]
+
+
 def dark_profile(instance, order: Sequence[int]) -> Tuple[int, ...]:
     """Dark count right before each arrival along the tour."""
     anc = ancestor_sets(instance)

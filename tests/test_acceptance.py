@@ -16,6 +16,7 @@ from prtrp import (
     build_bounds_table,
     build_index,
     build_model,
+    build_walk_table,
     check_assignment,
     encode_route,
     evaluate_route,
@@ -29,10 +30,10 @@ from prtrp.bidp import HEURISTIC
 
 from helpers import (
     ancestor_sets,
-    dark_count,
     dark_profile,
     leg_sum_objective,
     random_orders,
+    walk_bound,
 )
 from lp_lint import lint_lp
 
@@ -200,27 +201,27 @@ def test_criterion_03_heuristic_mode_theta_one_is_exact():
 
 def test_criterion_04_pruning_soundness():
     checked = 0
+    source_states = set()
     for inst in prune_instances():
         index = build_index(inst)
         table = build_bounds_table(inst, index)
+        walks = build_walk_table(inst, index)
         best_at, best_prefix = _enumeration_tables(inst)
         anc = ancestor_sets(inst)
         n = inst.n
         for prefix, best in best_prefix.items():
-            # the outgoing-path bound as the solver applies it (BoundsTable),
-            # with the prefix value and dark count from the test helpers
-            lb = (
-                leg_sum_objective(inst, prefix)
-                + dark_count(anc, prefix) * table.sorted_arcs[0]
-                + table.outgoing_tail[len(prefix)]
-            )
+            # the walk bound as the solver applies it (WalkTable), with the
+            # prefix value and dark count from the test helpers
+            lb = walk_bound(walks, inst, anc, prefix)
             assert lb <= best, (inst.name, prefix, lb, best)
+            source_states.add(inst.source in prefix)
             checked += 1
         for i in range(1, n + 1):
             for k in range(n - index.successor_count[i - 1] + 1, n + 1):
                 assert position_lower_bound(table, i, k) <= best_at[i][k], \
                     (inst.name, i, k)
                 checked += 1
+    assert source_states == {True, False}
     print(f"CRITERION 4 (pruning soundness, {checked} bound checks): PASS")
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -13,6 +14,7 @@ from prtrp import (
 )
 from prtrp import bidp
 from prtrp.bidp import EXACT, HEURISTIC
+from prtrp.heuristics import greedy_incumbent
 
 from helpers import (
     ancestor_sets,
@@ -25,8 +27,9 @@ from helpers import (
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Counts the solver's disrupted-count calls (one or two per candidate)
-    under the key "calls"; a patched clock can read it to pick its moment."""
+    """Counts the solver's disrupted-count calls (one per parent label and
+    per candidate once the source is repaired) under the key "calls"; a
+    patched clock can read it to pick its moment."""
     counter = {"calls": 0}
     real_counter = bidp.make_disrupted_counter
 
@@ -192,8 +195,25 @@ class TestSolveVariants:
         assert not report.proven_optimal
         assert report.stats["time_limit_reached"]
 
+    def test_time_limit_zero_returns_the_greedy_incumbent(self, monkeypatch):
+        inst = generate_random(10, seed=1)
+        index = build_index(inst)
+        greedy = greedy_incumbent(inst, index)
+        # The descent improves on the greedy tours when given the time.
+        assert solve(inst, index=index).stats["initial_upper_bound"] < \
+            greedy.objective
+        # Every clock read is one tick later, so a zero limit has passed
+        # before the descent's first move.
+        ticks = itertools.count()
+        monkeypatch.setattr(bidp.time, "perf_counter", lambda: float(next(ticks)))
+        report = solve(inst, SolverConfig(time_limit=0.0), index)
+        assert report.stats["time_limit_reached"]
+        assert not report.proven_optimal
+        assert report.stats["initial_upper_bound"] == greedy.objective
+        assert report.route == greedy
+
     def test_labels_cap_stops_inside_a_level(self):
-        inst = generate_random(12, seed=2700)
+        inst = generate_random(14, seed=2700)
         full = solve(inst).stats["levels"]
         created = [st["fwd_created"] + st["bwd_created"] for st in full]
         # One label past level 4; level 5 expands over a thousand parents,
@@ -213,7 +233,7 @@ class TestSolveVariants:
         assert cap < stopped_at < after_level_5
 
     def test_time_limit_stops_inside_a_level(self, monkeypatch, expansions):
-        inst = generate_random(12, seed=2700)
+        inst = generate_random(14, seed=2700)
         full = solve(inst).stats["levels"]
         # The clock jumps past the deadline halfway through the label
         # expansions, which falls inside one of the large middle levels.
@@ -271,33 +291,49 @@ class TestSolveVariants:
 
 
 class TestBoundCut:
-    # Per level (fwd_created, fwd_pruned_bound) of generate_random(10, seed=1).
-    # A cut one unit looser or tighter than the bound test moves these
-    # counts, while the objective can stay the same.
+    # Per level (fwd_created, fwd_pruned_bound) of two n=10 instances. A
+    # cut one unit looser or tighter than the bound test moves these
+    # counts, while the objective can stay the same. On the default
+    # 1000-wide grid no walk bound of generate_random(10, seed=1) lands one
+    # past the cut, so its 20-wide twin, whose many equal arcs make such
+    # ties, is pinned as well.
     EXACT_LEVELS = [
-        (10, 0), (78, 12), (227, 295), (354, 1007), (334, 1496),
-        (149, 1357), (66, 463), (22, 164), (4, 39), (1, 3),
+        (10, 0), (45, 45), (97, 241), (146, 466), (105, 701),
+        (65, 410), (26, 222), (9, 67), (2, 16), (1, 1),
     ]
     RELAXED_LEVELS = [
-        (10, 0), (49, 41), (111, 253), (137, 598), (97, 663),
-        (31, 437), (8, 115), (0, 24),
+        (4, 6), (16, 20), (35, 93), (30, 210), (20, 152),
+        (9, 87), (1, 35), (0, 3),
     ]
+    NARROW_EXACT_LEVELS = [
+        (5, 5), (18, 27), (46, 85), (72, 229), (82, 329),
+        (55, 341), (24, 193), (7, 64), (2, 12), (1, 1),
+    ]
+    NARROW_RELAXED_LEVELS = [
+        (2, 8), (6, 12), (11, 35), (14, 61), (9, 72), (4, 41), (0, 16),
+    ]
+    RELAXED = SolverConfig(mode=HEURISTIC, theta=0.83, delta=0.01)
+    # (objective, order) of each instance, the same in both modes
+    WIDE = (19020, (8, 3, 2, 7, 10, 6, 5, 4, 1, 9))
+    NARROW = (394, (2, 10, 7, 3, 4, 9, 5, 6, 8, 1))
 
     @pytest.mark.parametrize(
-        "config, levels",
+        "coord_range, config, levels, result",
         [
-            (SolverConfig(), EXACT_LEVELS),
-            (SolverConfig(mode=HEURISTIC, theta=0.83, delta=0.01), RELAXED_LEVELS),
+            (1000, SolverConfig(), EXACT_LEVELS, WIDE),
+            (1000, RELAXED, RELAXED_LEVELS, WIDE),
+            (20, SolverConfig(), NARROW_EXACT_LEVELS, NARROW),
+            (20, RELAXED, NARROW_RELAXED_LEVELS, NARROW),
         ],
-        ids=["exact", "theta-0.83-delta-0.01"],
+        ids=["exact", "theta-0.83-delta-0.01", "narrow-exact",
+             "narrow-theta-0.83-delta-0.01"],
     )
-    def test_per_level_counts_are_pinned(self, config, levels):
-        report = solve(generate_random(10, seed=1), config)
+    def test_per_level_counts_are_pinned(self, coord_range, config, levels, result):
+        report = solve(generate_random(10, seed=1, coord_range=coord_range), config)
         got = [(st["fwd_created"], st["fwd_pruned_bound"])
                for st in report.stats["levels"]]
         assert got == levels
-        assert report.objective == 19020
-        assert report.route.order == (8, 3, 2, 7, 10, 6, 5, 4, 1, 9)
+        assert (report.objective, report.route.order) == result
 
 
 class TestReportShape:

@@ -6,6 +6,7 @@ from prtrp import (
     brute_force,
     build_bounds_table,
     build_index,
+    build_walk_table,
     compute_beta,
     evaluate_route,
     generate_random,
@@ -13,7 +14,7 @@ from prtrp import (
     position_lower_bound,
 )
 
-from helpers import ancestor_sets, dark_count, leg_sum_objective
+from helpers import ancestor_sets, walk_bound
 
 
 @pytest.fixture
@@ -80,44 +81,49 @@ class TestComputeBeta:
                 assert pos <= beta[v - 1], (inst.name, v, pos, beta)
 
 
-def outgoing_bound(table, value, k, dark):
-    """The solver's outgoing-path bound for a k-vertex path (BoundsTable)."""
-    return value + dark * table.sorted_arcs[0] + table.outgoing_tail[k]
-
-
 class TestPathLowerBounds:
-    def test_outgoing_examples(self, star_table):
-        # the star's three shortest arcs are 1: tail k holds the legs
-        # after the next one, charged 2 and 1 (k=0) or 1 (k=1) dark vertices
-        assert star_table.outgoing_tail == (3, 1, 0, 0)
-        # P = (0,2): value 6, three vertices dark
-        assert outgoing_bound(star_table, 6, 1, 3) == 10
-        # P = (0,1): value 3, two dark; ties the optimum, must not prune
-        assert outgoing_bound(star_table, 3, 1, 2) == 6
-        # complete path: bound collapses to the accumulated value
-        assert outgoing_bound(star_table, 123, 3, 0) == 123
+    def test_walk_table_star_values(self, star, star_index):
+        walks = build_walk_table(star, star_index)
+        # shortest arc out of 1, 2, 3 (column 0, the depot, is unused)
+        assert walks.minout == (0, 1, 1, 1)
+        # H[2][2]: 2->1->3 and 2->3->1 both cost 2*1 + 2; a walk never
+        # turns straight back, so 2->1->2 (2*1 + 1) is not counted
+        assert walks.H == ((0, 0, 0, 0), (0, 1, 1, 1), (0, 3, 4, 3))
+        # source 1 dark: legs up to and including the one into 1 weigh 3.
+        # G[2][2] = 3*d(2,1) + 1*d(1,3) = 5; G[2][3] = 3*d(3,2) + 3*d(2,1) = 6
+        # beats 3*d(3,1) + d(1,2) = 7; G[r][1] is H[r][1]
+        assert walks.G == ((0, 0, 0, 0), (0, 1, 3, 6), (0, 3, 5, 6))
+
+    def test_star_prefix_bounds(self, star, star_index):
+        walks = build_walk_table(star, star_index)
+        anc = ancestor_sets(star)
+        # (1): value 3, two dark after it; ties the optimum 6, must not prune
+        assert walk_bound(walks, star, anc, (1,)) == 6
+        # (2) and (3) leave the source dark; both meet their best completion,
+        # (2, 1, 3) = 11 and (3, 2, 1) = 15
+        assert walk_bound(walks, star, anc, (2,)) == 11
+        assert walk_bound(walks, star, anc, (3,)) == 15
+        # complete path: the bound collapses to the accumulated value
+        assert walk_bound(walks, star, anc, (1, 2, 3)) == 6
 
     def test_bounds_below_best_completion_exhaustive(self):
-        # enumerate every tour of small instances; prefixes up to length 3
-        # must never be bounded above their best completion
+        # enumerate every tour of small instances; no prefix, with the
+        # source repaired or dark, may be bounded above its best completion
+        seen = set()
         for k in range(6):
             n = 6
             inst = generate_random(n, seed=970 + k)
             index = build_index(inst)
-            table = build_bounds_table(inst, index)
+            walks = build_walk_table(inst, index)
             best_for_prefix = {}
             for perm in permutations(range(1, n + 1)):
                 obj = evaluate_route(inst, index, perm).objective
-                for L in (1, 2, 3):
+                for L in range(1, n + 1):
                     pre = perm[:L]
                     if obj < best_for_prefix.get(pre, 1 << 62):
                         best_for_prefix[pre] = obj
             anc = ancestor_sets(inst)
             for pre, best in best_for_prefix.items():
-                lb = outgoing_bound(
-                    table,
-                    leg_sum_objective(inst, pre),
-                    len(pre),
-                    dark_count(anc, pre),
-                )
-                assert lb <= best, (inst.name, pre)
+                assert walk_bound(walks, inst, anc, pre) <= best, (inst.name, pre)
+                seen.add(inst.source in pre)
+        assert seen == {True, False}

@@ -276,13 +276,29 @@ class TestUnusableInput:
              "travel[0][2] exceeds the 64-bit range"),
             (["solve", "{tmp}/wide-absorbed-arc.json"],
              "travel[0][2] + duration exceeds the 64-bit range"),
+            (["solve", "{star}", "--method", "hk", "--time-limit", "0"],
+             "only bidp takes --time-limit, not hk"),
+            (["solve", "{star}", "--method", "brute", "--labels-cap", "1"],
+             "only bidp takes --labels-cap, not brute"),
+            (["solve", "{star}", "--method", "gid", "--labels-cap", "1",
+              "--time-limit", "5"],
+             "only bidp takes --labels-cap or --time-limit, not gid"),
+            (["solve", "{star}", "--method", "gipd", "--time-limit", "5"],
+             "only bidp takes --time-limit, not gipd"),
+            (["bench", "--n", "4", "--methods", "gid,hk", "--time-limit", "5"],
+             "only bidp takes --time-limit, not gid,hk"),
+            (["bench", "--n", "4", "--methods", "brute,gipd", "--labels-cap", "9"],
+             "only bidp takes --labels-cap, not brute,gipd"),
         ],
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
              "bounds-negative-ub", "solve-source-cap-flag", "bench-source-cap-token",
              "bench-theta-on-greedy", "solve-ub-refresh-flag", "solve-theta-on-greedy",
              "bench-theta-above-one", "bench-theta-off-percent", "arc-past-64-bits",
-             "absorbed-arc-past-64-bits"],
+             "absorbed-arc-past-64-bits", "solve-time-limit-on-hk",
+             "solve-labels-cap-on-brute", "solve-both-limits-on-gid",
+             "solve-time-limit-on-gipd", "bench-time-limit-without-bidp",
+             "bench-labels-cap-without-bidp"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
         (tmp_path / "empty").mkdir()

@@ -3,13 +3,15 @@ import pytest
 from prtrp import (
     brute_force,
     build_index,
+    evaluate_route,
     generate_random,
     greedy_complete,
     greedy_distance,
     greedy_priority_distance,
     make_instance,
 )
-from prtrp.heuristics import greedy_incumbent
+from prtrp import heuristics
+from prtrp.heuristics import descent, greedy_incumbent
 
 
 class TestGreedyDistance:
@@ -131,6 +133,49 @@ class TestGreedyIncumbent:
         gid, gipd = greedy_distance(inst, index), greedy_priority_distance(inst, index)
         assert gid.objective == gipd.objective and gipd.order < gid.order
         assert greedy_incumbent(inst, index) == gipd
+
+
+class TestDescent:
+    def test_star_from_the_worst_tour(self, star, star_index):
+        assert evaluate_route(star, star_index, (3, 2, 1)).objective == 15
+        route = descent(star, star_index, (3, 2, 1))
+        assert (route.objective, route.order) == (6, (1, 2, 3))
+
+    def test_never_beats_the_oracle(self):
+        for k in range(20):
+            n = 4 + k % 6
+            inst = generate_random(n, seed=1300 + k)
+            index = build_index(inst)
+            start = greedy_distance(inst, index)
+            route = descent(inst, index, start.order)
+            assert brute_force(inst, index).objective <= route.objective
+            assert route.objective <= start.objective
+            assert route == evaluate_route(inst, index, route.order)
+
+    def test_deadline_keeps_the_best_tour_so_far(self, monkeypatch):
+        inst = generate_random(10, seed=1)
+        index = build_index(inst)
+        start = greedy_distance(inst, index)
+        # The clock is read once before every move; it jumps past the
+        # deadline at read number `flip`, or never when flip is None.
+        clock = {"reads": 0, "flip": None}
+
+        def perf_counter():
+            clock["reads"] += 1
+            flip = clock["flip"]
+            return 1e9 if flip is not None and clock["reads"] >= flip else 0.0
+
+        def run(flip):
+            clock["reads"], clock["flip"] = 0, flip
+            return descent(inst, index, start.order, deadline=1.0)
+
+        monkeypatch.setattr(heuristics.time, "perf_counter", perf_counter)
+        full = run(None)
+        stopped = run(clock["reads"] // 2)
+        assert start.objective > stopped.objective > full.objective
+        assert stopped == evaluate_route(inst, index, stopped.order)
+        # A deadline already past returns the start.
+        assert run(0) == start
 
 
 class TestDeterminism:

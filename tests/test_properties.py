@@ -17,9 +17,9 @@ from prtrp import (  # noqa: E402
     SolverConfig,
     absorb_repair_durations,
     brute_force,
-    build_bounds_table,
     build_index,
     build_model,
+    build_walk_table,
     check_assignment,
     encode_route,
     evaluate_route,
@@ -28,12 +28,13 @@ from prtrp import (  # noqa: E402
     validate,
 )
 from prtrp import instance as inst_mod  # noqa: E402
+from prtrp.heuristics import descent  # noqa: E402
 
 from helpers import (  # noqa: E402
     ancestor_sets,
-    dark_count,
     leg_sum_objective,
     sim_objective_with_durations,
+    walk_bound,
 )
 
 EXAMPLES = settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -95,7 +96,7 @@ def test_pruning_switches_leave_the_result_unchanged(inst):
 def test_table_bound_below_best_completion_of_every_prefix(inst):
     n = inst.n
     index = build_index(inst)
-    table = build_bounds_table(inst, index)
+    walks = build_walk_table(inst, index)
     best = {}
     for perm in permutations(range(1, n + 1)):
         obj = evaluate_route(inst, index, perm).objective
@@ -104,13 +105,21 @@ def test_table_bound_below_best_completion_of_every_prefix(inst):
                 best[perm[:k]] = obj
     anc = ancestor_sets(inst)
     for prefix, completion in best.items():
-        # the outgoing-path bound as the solver applies it (BoundsTable)
-        bound = (
-            leg_sum_objective(inst, prefix)
-            + dark_count(anc, prefix) * table.sorted_arcs[0]
-            + table.outgoing_tail[len(prefix)]
-        )
-        assert bound <= completion, prefix
+        # the walk bound as the solver applies it (WalkTable), with the
+        # source repaired or still dark
+        assert walk_bound(walks, inst, anc, prefix) <= completion, prefix
+
+
+@EXAMPLES
+@given(instances_with_order())
+def test_descent_is_no_worse_than_its_start_and_repeats(drawn):
+    inst, order = drawn
+    index = build_index(inst)
+    route = descent(inst, index, order)
+    assert sorted(route.order) == list(range(1, inst.n + 1))
+    assert route.objective <= leg_sum_objective(inst, order)
+    assert route.objective == leg_sum_objective(inst, route.order)
+    assert descent(inst, index, order) == route
 
 
 @EXAMPLES
