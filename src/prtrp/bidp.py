@@ -66,10 +66,6 @@ from .power_eval import (
 EXACT = "exact"
 HEURISTIC = "heuristic"
 
-# Parent labels expanded between two checks of the label cap and the
-# deadline inside a level.
-LIMIT_CHECK_EVERY = 256
-
 # Best labels greedily completed after each level to refresh the incumbent.
 UB_REFRESH_WIDTH = 32
 
@@ -106,6 +102,8 @@ class SolverConfig:
     use_dominance=False keys every label apart, the unpruned reference
     search acceptance criterion 6 compares against. labels_cap and
     time_limit (seconds, 0 allowed) stop the search; None means no limit.
+    Both are read before every parent label and between levels, never
+    after the last one (see solve).
     The incumbent refresh is not a knob: it completes a fixed
     UB_REFRESH_WIDTH (32) best labels after each level.
     """
@@ -176,11 +174,16 @@ def solve(
     """Run the label search on a zero-duration instance.
 
     Exact mode returns a provably optimal route. Heuristic mode returns the
-    best route found with proven_optimal False. A passed time limit falls
-    back to the incumbent, the descents' best tour or a better greedy
-    completion; so does a passed label cap in heuristic mode, while exact
-    mode raises EngineLimitError. The descents stop at the deadline too,
-    so at time_limit=0 the incumbent is the better greedy tour.
+    best route found with proven_optimal False. The label cap and the
+    deadline are read before every parent label is expanded and between
+    levels, so a capped run overshoots the cap by at most one parent's
+    children (fewer than n labels). A passed time limit falls back to the
+    incumbent, the descents' best tour or a better greedy completion; so
+    does a passed label cap in heuristic mode, while exact mode raises
+    EngineLimitError. Neither limit is read once the last level is fully
+    built, so a finished search returns its result under both. The
+    descents stop at the deadline too, so at time_limit=0 the incumbent is
+    the better greedy tour.
     """
     cfg = config or SolverConfig()
     n = instance.n
@@ -230,13 +233,13 @@ def solve(
 
     labels_cap = cfg.labels_cap
 
-    def limit_reached(labels, clock=True):
-        """True once labels exceed the cap or, when clock is set, the
-        deadline has passed; records which in cap_hit / timed_out."""
+    def limit_reached(labels):
+        """True once labels exceed the cap or the deadline has passed;
+        records which in cap_hit / timed_out."""
         nonlocal cap_hit, timed_out
         if labels_cap is not None and labels > labels_cap:
             cap_hit = True
-        elif clock and deadline is not None and time.perf_counter() > deadline:
+        elif deadline is not None and time.perf_counter() > deadline:
             timed_out = True
         return cap_hit or timed_out
 
@@ -259,8 +262,8 @@ def solve(
         # Counters stay in locals: a dict update per candidate is not free.
         created = dominated = pruned_bound = 0
         nxt: Dict[int, Label] = {}
-        for i, lab in enumerate(frontier.values()):
-            if not i % LIMIT_CHECK_EVERY and limit_reached(labels_total + created):
+        for lab in frontier.values():
+            if limit_reached(labels_total + created):
                 break
             value, mask, endpoint, _ = lab
             # While the source is dark, so is every vertex.
@@ -309,9 +312,10 @@ def solve(
             "fwd_pruned_bound": pruned_bound,
             **(return_legs if level == 0 else _UNCOUNTED),
         })
-        # A fully built last level is the finished search: the clock is not
-        # read there, so a deadline passing now cannot discard it.
-        if limit_reached(labels_total, clock=level + 1 < n):
+        # A fully built last level is the finished search: no limit is read
+        # after it, so a cap or deadline crossed by its final labels cannot
+        # discard it.
+        if cap_hit or timed_out or (level + 1 < n and limit_reached(labels_total)):
             if cap_hit and cfg.mode == EXACT:
                 raise EngineLimitError(
                     f"label cap {labels_cap} exceeded at level {level + 1} "

@@ -11,6 +11,7 @@ Everything is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, NamedTuple, Tuple
 
 from .instance import Instance
@@ -22,17 +23,17 @@ _NO_WALK = float("inf")
 
 @dataclass
 class BoundsTable:
-    """Sorted arc lengths with the prefix sums the position bounds need.
+    """Prefix sums of the n shortest arcs, for the position bounds.
 
-    sorted_arcs covers all (n+1)*n directed arcs, depot arcs included.
-    prefix_plain[j] is the sum of the j shortest arcs; prefix_weighted[j]
-    weights arc p by (n-p+1), defined for j <= n. The table serves the
-    position bounds of compute_beta and `prtrp bounds`; the solver prunes
-    with the walk bound of WalkTable instead and never builds it.
+    The arcs are all (n+1)*n directed arcs, depot arcs included, sorted
+    ascending. prefix_plain[j] is the sum of the j shortest;
+    prefix_weighted[j] weights arc p by (n-p+1); both are defined for
+    j <= n. The table serves the position bounds of compute_beta and
+    `prtrp bounds`; the solver prunes with the walk bound of WalkTable
+    instead and never builds it.
     """
 
     n: int
-    sorted_arcs: Tuple[int, ...]
     prefix_plain: Tuple[int, ...]
     prefix_weighted: Tuple[int, ...]
     successor_count: Tuple[int, ...]
@@ -40,24 +41,16 @@ class BoundsTable:
 
 def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTable:
     n = instance.n
-    arcs = sorted(
+    shortest = sorted(
         instance.travel[i][j]
         for i in range(n + 1)
         for j in range(n + 1)
         if i != j
-    )
-    prefix_plain = [0] * (len(arcs) + 1)
-    for p, s in enumerate(arcs, start=1):
-        prefix_plain[p] = prefix_plain[p - 1] + s
-    prefix_weighted = [0] * (n + 1)
-    for p in range(1, n + 1):
-        prefix_weighted[p] = prefix_weighted[p - 1] + (n - p + 1) * arcs[p - 1]
-
+    )[:n]
     return BoundsTable(
         n=n,
-        sorted_arcs=tuple(arcs),
-        prefix_plain=tuple(prefix_plain),
-        prefix_weighted=tuple(prefix_weighted),
+        prefix_plain=(0, *accumulate(shortest)),
+        prefix_weighted=(0, *accumulate((n - p) * s for p, s in enumerate(shortest))),
         successor_count=index.successor_count,
     )
 

@@ -224,7 +224,9 @@ def cmd_bench(args) -> int:
             pct = 100.0 * (z - best) / best
             gaps[token].append(pct)
             gap = f"{pct:.2f}"
-        elif z != "" and best == 0:
+        elif z == best == 0:
+            # No ratio exists against a best of 0: only a tie scores 0.00,
+            # any other row gets no gap and no deviation.
             gaps[token].append(0.0)
             gap = "0.00"
         tcell = "" if args.no_timing or wall is None else f"{wall:.3f}"
@@ -248,8 +250,12 @@ def cmd_generate(args) -> int:
     if args.subtree:
         if args.root is None:
             raise ValueError("generate --subtree needs --root")
+        if args.n is not None or args.seed is not None:
+            raise ValueError("generate --subtree takes no --n or --seed")
         base = _load_instance(args.subtree)
         made = inst_mod.extract_subtree(base, args.root)
+    elif args.root is not None:
+        raise ValueError("generate --root needs --subtree")
     elif args.n is None or args.seed is None:
         raise ValueError("generate needs --n and --seed")
     else:

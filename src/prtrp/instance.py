@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -35,8 +35,6 @@ class Instance:
             fault vertex except the source.
         source: root of the power tree, in 1..n.
         repair_duration: per-vertex repair time, index i-1 for vertex i.
-        meta: free-form annotations (e.g. original labels after a subtree
-            extraction); never serialized.
     """
 
     name: str
@@ -45,7 +43,6 @@ class Instance:
     power_parent: Dict[int, int]
     source: int
     repair_duration: Tuple[int, ...]
-    meta: Dict[str, object] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,15 +75,16 @@ def make_instance(
     power_parent: Dict[int, int],
     source: int,
     repair_duration: Optional[Sequence[int]] = None,
-    meta: Optional[Dict[str, object]] = None,
 ) -> Instance:
     """Build an Instance from plain containers.
 
-    Every number must already be an int: floats, booleans and strings are
-    rejected with ValueError rather than truncated or coerced, and so is a
-    travel matrix or duration list that is not a list of lists or a list.
+    Every number must already be an int and the name a str: any other type
+    is rejected with ValueError rather than truncated or coerced, and so is
+    a travel matrix or duration list that is not a list of lists or a list.
     The structure is not validated.
     """
+    if type(name) is not str:
+        raise ValueError(f"name must be a string, got {name!r}")
     if not _is_list(travel) or not all(_is_list(row) for row in travel):
         raise ValueError("travel must be a list of rows, each a list of integers")
     if repair_duration is not None and not _is_list(repair_duration):
@@ -114,7 +112,6 @@ def make_instance(
             p if type(p) is int else _not_int(p, "repair duration")
             for p in repair_duration
         ),
-        meta=dict(meta or {}),
     )
 
 
@@ -206,15 +203,14 @@ def absorb_repair_durations(instance: Instance) -> Instance:
         power_parent=dict(instance.power_parent),
         source=instance.source,
         repair_duration=(0,) * n,
-        meta=dict(instance.meta),
     )
 
 
 def extract_subtree(instance: Instance, new_source: int) -> Instance:
     """Restrict the instance to new_source and its power-tree descendants.
 
-    Surviving vertices are relabeled 1..m preserving their relative order;
-    the original labels are recorded in meta["original_labels"].
+    Surviving vertices are relabeled 1..m in ascending order of their
+    original labels, so new vertex k is the k-th smallest kept label.
     """
     if not 1 <= new_source <= instance.n:
         raise ValueError(f"unknown vertex {new_source}")
@@ -243,7 +239,6 @@ def extract_subtree(instance: Instance, new_source: int) -> Instance:
         power_parent=parent,
         source=relabel[new_source],
         repair_duration=tuple(instance.repair_duration[v - 1] for v in keep),
-        meta={"original_labels": tuple(keep)},
     )
 
 
@@ -259,6 +254,8 @@ def generate_random(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if coord_range < 0:
+        raise ValueError(f"coord_range must be >= 0, got {coord_range}")
     rng = random.Random(seed)
     pts = [(rng.randint(0, coord_range), rng.randint(0, coord_range)) for _ in range(n + 1)]
     travel = tuple(
@@ -354,7 +351,7 @@ def from_dict(data: Dict[str, object]) -> Instance:
             raise ValueError(f"power_edges name child {c!r} more than once")
         parent[c] = p
     inst = make_instance(
-        name=str(data["name"]),
+        name=data["name"],
         travel=data["travel"],
         power_parent=parent,
         source=data["source"],

@@ -227,10 +227,38 @@ class TestSolveVariants:
         assert len(levels) == 5
         assert 0 < levels[-1]["fwd_created"] < full[4]["fwd_created"]
         assert report.stats["labels_total"] < after_level_5
+        # Limits are read before every parent, so the overshoot is at most
+        # one parent's children, fewer than n.
+        assert report.stats["labels_total"] <= cap + inst.n
         with pytest.raises(EngineLimitError, match=r"at level 5 \((\d+) labels\)") as exc:
             solve(inst, SolverConfig(labels_cap=cap))
         stopped_at = int(re.search(r"\((\d+) labels\)", str(exc.value)).group(1))
         assert cap < stopped_at < after_level_5
+
+    @pytest.mark.parametrize("mode", [EXACT, HEURISTIC])
+    def test_cap_crossed_by_the_last_labels_keeps_the_search(self, mode):
+        # 37 labels in all; the last level's single label is the 37th, and
+        # no limit is read once it is built.
+        inst = generate_random(6, seed=3)
+        report = solve(inst, SolverConfig(mode=mode, labels_cap=36))
+        stats = report.stats
+        assert stats["labels_total"] == 37
+        assert len(stats["levels"]) == inst.n
+        assert not stats["labels_cap_reached"]
+        assert stats["join_candidates"] == stats["levels"][-1]["fwd_created"] > 0
+        assert report.objective == 8313
+        assert report.proven_optimal == (mode == EXACT)
+
+    def test_cap_crossed_inside_the_last_level_still_stops(self):
+        # 25 labels in all; the last level's single label comes from the
+        # first of its two parents, so the cap is read again after it.
+        inst = generate_random(6, seed=4)
+        assert solve(inst).stats["labels_total"] == 25
+        with pytest.raises(EngineLimitError, match=r"at level 6 \(25 labels\)"):
+            solve(inst, SolverConfig(labels_cap=24))
+        report = solve(inst, SolverConfig(mode=HEURISTIC, labels_cap=24))
+        assert report.stats["labels_cap_reached"]
+        assert report.stats["join_candidates"] == 0
 
     def test_time_limit_stops_inside_a_level(self, monkeypatch, expansions):
         inst = generate_random(14, seed=2700)

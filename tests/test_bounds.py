@@ -23,12 +23,22 @@ def star_table(star, star_index):
 
 
 class TestTable:
-    def test_star_sorted_arcs(self, star_table):
-        assert star_table.sorted_arcs == (1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3)
+    def test_star_prefix_sums(self, star_table):
+        # The 3 shortest of the 12 arcs all have length 1.
+        assert star_table.prefix_plain == (0, 1, 2, 3)
+        assert star_table.prefix_weighted == (0, 3, 5, 6)
 
-    def test_prefix_sums_consistent(self, star_table):
-        for j in range(1, len(star_table.sorted_arcs) + 1):
-            assert star_table.prefix_plain[j] == sum(star_table.sorted_arcs[:j])
+    def test_prefix_sums_consistent(self):
+        inst = generate_random(7, seed=5)
+        table = build_bounds_table(inst, build_index(inst))
+        arcs = sorted(
+            inst.travel[i][j] for i in range(8) for j in range(8) if i != j
+        )[:7]
+        for j in range(8):
+            assert table.prefix_plain[j] == sum(arcs[:j])
+            assert table.prefix_weighted[j] == sum(
+                (7 - p) * a for p, a in enumerate(arcs[:j])
+            )
 
 
 class TestPositionLowerBound:

@@ -81,6 +81,9 @@ class TestSolve:
              "travel must be a list of rows"),
             ("power_edges", 7, "power_edges must be a list"),
             ("power_edges", [[1, [2]], [1, 3]], "got [1, [2]]"),
+            ("name", 5, "name must be a string, got 5"),
+            ("name", [1], "name must be a string, got [1]"),
+            ("name", None, "name must be a string, got None"),
         ],
     )
     def test_malformed_instance_exits_2_with_report(
@@ -228,6 +231,29 @@ class TestBench:
         relaxed_rows = [r for r in rows if r[2] != "bidp:1.00:0"]
         assert all(r[6] == "false" for r in relaxed_rows)
 
+    def test_zero_best_scores_only_a_tie(self, capsys, tmp_path):
+        # Star 1 -> {2, 3}: the tour 3, 1, 2 drives only zero arcs, while
+        # both greedy tours pay 40. No ratio exists against a best of 0.
+        travel = [[0, 10, 0, 0], [10, 0, 0, 10], [10, 10, 0, 10], [10, 0, 10, 0]]
+        inst_mod.save(
+            inst_mod.make_instance("zero", travel, {2: 1, 3: 1}, source=1),
+            tmp_path / "zero.json",
+        )
+        code, out, _ = run_cli(
+            capsys,
+            ["bench", "--dir", str(tmp_path), "--methods", "gid,gipd,bidp",
+             "--no-timing"],
+        )
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines()[1:]]
+        scored = {r[2]: (r[3], r[5]) for r in rows if r[0] == "zero"}
+        assert scored == {"gid": ("40", ""), "gipd": ("40", ""), "bidp": ("0", "0.00")}
+        deviations = [(r[0], r[2], r[5]) for r in rows if r[0] != "zero"]
+        assert deviations == [
+            (label, "bidp", "0.00")
+            for label in ("Avg. Deviation", "Min. Deviation", "Max. Deviation")
+        ]
+
     def test_bad_limit_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -289,6 +315,19 @@ class TestUnusableInput:
              "only bidp takes --time-limit, not gid,hk"),
             (["bench", "--n", "4", "--methods", "brute,gipd", "--labels-cap", "9"],
              "only bidp takes --labels-cap, not brute,gipd"),
+            (["generate", "--n", "4", "--seed", "1", "--root", "2", "-o", "{tmp}"],
+             "generate --root needs --subtree"),
+            (["generate", "--subtree", "{star}", "--root", "1", "--n", "4",
+              "-o", "{tmp}"],
+             "generate --subtree takes no --n or --seed"),
+            (["generate", "--subtree", "{star}", "--root", "1", "--seed", "1",
+              "-o", "{tmp}"],
+             "generate --subtree takes no --n or --seed"),
+            (["generate", "--n", "4", "--seed", "1", "--coord-range", "-2",
+              "-o", "{tmp}"],
+             "coord_range must be >= 0, got -2"),
+            (["bench", "--n", "4", "--coord-range", "-2"],
+             "coord_range must be >= 0, got -2"),
         ],
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
@@ -298,7 +337,9 @@ class TestUnusableInput:
              "absorbed-arc-past-64-bits", "solve-time-limit-on-hk",
              "solve-labels-cap-on-brute", "solve-both-limits-on-gid",
              "solve-time-limit-on-gipd", "bench-time-limit-without-bidp",
-             "bench-labels-cap-without-bidp"],
+             "bench-labels-cap-without-bidp", "generate-root-without-subtree",
+             "generate-subtree-with-n", "generate-subtree-with-seed",
+             "generate-negative-coord-range", "bench-negative-coord-range"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
         (tmp_path / "empty").mkdir()
