@@ -33,16 +33,12 @@ METHODS = ("bidp", "gid", "gipd", "brute", "hk")
 
 
 def _load_instance(path: str) -> Instance:
+    """The valid instance in a file; load raises ValueError with the
+    validation report for one that is not."""
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"instance file not found: {path}")
-    loaded = inst_mod.load(p)
-    bad = inst_mod.validate(loaded)
-    if bad:
-        raise ValueError(
-            "instance failed validation:\n" + "\n".join(f"- {b}" for b in bad)
-        )
-    return loaded
+    return inst_mod.load(p)
 
 
 def _solver_config(
@@ -64,15 +60,22 @@ def _solver_config(
     )
 
 
+def _given(args, *flags: str) -> List[str]:
+    """The flags among these that the command line set."""
+    return [f for f in flags if getattr(args, f[2:].replace("-", "_")) is not None]
+
+
+def _refuse(args, mode: str, *flags: str) -> None:
+    """Refuse, rather than ignore, flags that this mode does not read."""
+    given = _given(args, *flags)
+    if given:
+        raise ValueError(f"{mode} takes no {' or '.join(given)}")
+
+
 def _limits_need_bidp(args, methods: Sequence[str]) -> None:
     """--labels-cap and --time-limit bound the bidp search alone: refuse
     them, rather than ignore them, when no method given is bidp."""
-    given = [
-        flag
-        for flag, value in (("--labels-cap", args.labels_cap),
-                            ("--time-limit", args.time_limit))
-        if value is not None
-    ]
+    given = _given(args, "--labels-cap", "--time-limit")
     if given and "bidp" not in methods:
         raise ValueError(
             f"only bidp takes {' or '.join(given)}, not {','.join(methods)}"
@@ -155,9 +158,14 @@ def _parse_method_token(args, token: str) -> Tuple[str, str, bidp.SolverConfig]:
         raise ValueError(f"{exc}, got {token!r}") from None
 
 
-def _family_instance(family: str, n: int, seed: int, coord_range: int) -> Instance:
-    """A random instance, or its star reduction when family is "star"."""
-    made = inst_mod.generate_random(n, seed, coord_range)
+def _family_instance(
+    family: Optional[str], n: int, seed: int, coord_range: Optional[int]
+) -> Instance:
+    """A random instance, or its star reduction when family is "star".
+    An unset family is uniform and an unset coord_range 1000."""
+    made = inst_mod.generate_random(
+        n, seed, 1000 if coord_range is None else coord_range
+    )
     if family == "star":
         return inst_mod.generate_star_reduction(made.travel, name=f"star-n{n}-s{seed}")
     return made
@@ -165,6 +173,8 @@ def _family_instance(family: str, n: int, seed: int, coord_range: int) -> Instan
 
 def _bench_instances(args) -> List[Instance]:
     if args.dir:
+        _refuse(args, "bench --dir",
+                "--n", "--count", "--seed", "--coord-range", "--family")
         directory = Path(args.dir)
         if not directory.is_dir():
             raise FileNotFoundError(f"instance directory not found: {args.dir}")
@@ -174,12 +184,14 @@ def _bench_instances(args) -> List[Instance]:
         return [_load_instance(str(p)) for p in paths]
     if not args.n:
         raise ValueError("bench needs --dir or --n/--count/--seed")
-    if args.count < 1:
-        raise ValueError(f"--count must be >= 1, got {args.count}")
+    count = 1 if args.count is None else args.count
+    if count < 1:
+        raise ValueError(f"--count must be >= 1, got {count}")
+    seed = 0 if args.seed is None else args.seed
     return [
-        _family_instance(args.family, n, args.seed + k, args.coord_range)
+        _family_instance(args.family, n, seed + k, args.coord_range)
         for n in args.n
-        for k in range(args.count)
+        for k in range(count)
     ]
 
 
@@ -252,6 +264,7 @@ def cmd_generate(args) -> int:
             raise ValueError("generate --subtree needs --root")
         if args.n is not None or args.seed is not None:
             raise ValueError("generate --subtree takes no --n or --seed")
+        _refuse(args, "generate --subtree", "--coord-range", "--family")
         base = _load_instance(args.subtree)
         made = inst_mod.extract_subtree(base, args.root)
     elif args.root is not None:
@@ -366,9 +379,6 @@ def cmd_check_mip(args) -> int:
         inst = _load_instance(str(sol_path.parent / data["instance"]))
     elif isinstance(data.get("instance"), dict):
         inst = inst_mod.from_dict(data["instance"])
-        bad = inst_mod.validate(inst)
-        if bad:
-            raise ValueError("inline instance failed validation: " + "; ".join(bad))
     else:
         raise ValueError("solution file does not name its instance")
 
@@ -447,10 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--dir", default=None, help="directory of instance JSON files")
     p_bench.add_argument("--n", type=int, nargs="*", default=None,
                          help="sizes to generate when no --dir is given")
-    p_bench.add_argument("--count", type=int, default=1, help="instances per size")
-    p_bench.add_argument("--seed", type=int, default=0, help="base seed")
-    p_bench.add_argument("--coord-range", type=int, default=1000, dest="coord_range")
-    p_bench.add_argument("--family", default="uniform", choices=["uniform", "star"])
+    p_bench.add_argument("--count", type=int, default=None,
+                         help="instances per size (default 1)")
+    p_bench.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
+    p_bench.add_argument("--coord-range", type=int, default=None, dest="coord_range",
+                         help="coordinate range (default 1000)")
+    p_bench.add_argument("--family", default=None, choices=["uniform", "star"],
+                         help="power tree shape (default uniform)")
     p_bench.add_argument("--methods", default="gid,gipd,bidp",
                          help="comma list; bidp accepts bidp:THETA:DELTA")
     add_limit_flags(p_bench)
@@ -459,8 +472,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write instance files")
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--coord-range", type=int, default=1000, dest="coord_range")
-    p_gen.add_argument("--family", default="uniform", choices=["uniform", "star"])
+    p_gen.add_argument("--coord-range", type=int, default=None, dest="coord_range",
+                       help="coordinate range (default 1000)")
+    p_gen.add_argument("--family", default=None, choices=["uniform", "star"],
+                       help="power tree shape (default uniform)")
     p_gen.add_argument("--subtree", default=None,
                        help="base instance file to cut a subtree from")
     p_gen.add_argument("--root", type=int, default=None,

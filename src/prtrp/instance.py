@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # Travel times and absorbed durations must stay inside a signed 64-bit word
 # so that exact integer comparisons stay portable.
@@ -61,10 +61,6 @@ class Route:
     t: Tuple[int, ...]
 
 
-def _not_int(value, where: str) -> NoReturn:
-    raise ValueError(f"{where} must be an integer, got {value!r}")
-
-
 def _is_list(value) -> bool:
     return isinstance(value, (list, tuple))
 
@@ -76,48 +72,38 @@ def make_instance(
     source: int,
     repair_duration: Optional[Sequence[int]] = None,
 ) -> Instance:
-    """Build an Instance from plain containers.
+    """Build a valid Instance from plain containers.
 
-    Every number must already be an int and the name a str: any other type
-    is rejected with ValueError rather than truncated or coerced, and so is
-    a travel matrix or duration list that is not a list of lists or a list.
-    The structure is not validated.
+    The one gate for instances built from outside data. Raises ValueError
+    when travel is not a list of lists or the durations not a list, and
+    when validate reports anything: "instance failed validation:" and one
+    "- ..." line per violation. Nothing is truncated or coerced.
     """
-    if type(name) is not str:
-        raise ValueError(f"name must be a string, got {name!r}")
     if not _is_list(travel) or not all(_is_list(row) for row in travel):
         raise ValueError("travel must be a list of rows, each a list of integers")
     if repair_duration is not None and not _is_list(repair_duration):
         raise ValueError("repair durations must be a list of integers")
     n = len(travel) - 1
-    if repair_duration is None:
-        repair_duration = (0,) * n
-    return Instance(
+    inst = Instance(
         name=name,
         n=n,
-        travel=tuple(
-            tuple(
-                x if type(x) is int else _not_int(x, f"every value in travel row {i}")
-                for x in row
-            )
-            for i, row in enumerate(travel)
-        ),
-        power_parent={
-            c if type(c) is int else _not_int(c, "power edge child"):
-            p if type(p) is int else _not_int(p, f"power parent of {c}")
-            for c, p in power_parent.items()
-        },
-        source=source if type(source) is int else _not_int(source, "source"),
-        repair_duration=tuple(
-            p if type(p) is int else _not_int(p, "repair duration")
-            for p in repair_duration
-        ),
+        travel=tuple(tuple(row) for row in travel),
+        power_parent=dict(power_parent),
+        source=source,
+        repair_duration=(0,) * n if repair_duration is None else tuple(repair_duration),
     )
+    bad = validate(inst)
+    if bad:
+        raise ValueError("\n- ".join(["instance failed validation:", *bad]))
+    return inst
 
 
 def validate(instance: Instance) -> List[str]:
-    """Return every violated structural invariant; empty when well-formed."""
+    """Return every violated instance rule, types included; empty when
+    well-formed. A value of the wrong type is reported, never compared."""
     bad: List[str] = []
+    if type(instance.name) is not str:
+        bad.append(f"name must be a string, got {instance.name!r}")
     n = instance.n
     if n < 1:
         bad.append(f"n must be >= 1, got {n}")
@@ -130,6 +116,11 @@ def validate(instance: Instance) -> List[str]:
     for i in range(size):
         for j in range(size):
             v = instance.travel[i][j]
+            if type(v) is not int:
+                bad.append(
+                    f"every value in travel row {i} must be an integer, got {v!r}"
+                )
+                continue
             if i == j and v != 0:
                 bad.append(f"nonzero diagonal: travel[{i}][{i}] = {v}")
             if v < 0:
@@ -137,10 +128,20 @@ def validate(instance: Instance) -> List[str]:
             if v > MAX_TRAVEL:
                 bad.append(f"travel[{i}][{j}] exceeds the 64-bit range")
 
+    if type(instance.source) is not int:
+        bad.append(f"source must be an integer, got {instance.source!r}")
+        return bad
     if not 1 <= instance.source <= n:
         bad.append(f"source {instance.source} outside 1..{n}")
         return bad
 
+    for child, parent in instance.power_parent.items():
+        if type(child) is not int:
+            bad.append(f"power edge child must be an integer, got {child!r}")
+            return bad
+        if type(parent) is not int:
+            bad.append(f"power parent of {child} must be an integer, got {parent!r}")
+            return bad
     expected = set(range(1, n + 1)) - {instance.source}
     if set(instance.power_parent) != expected:
         bad.append(
@@ -169,7 +170,9 @@ def validate(instance: Instance) -> List[str]:
         bad.append(f"repair_duration must have length {n}")
     else:
         for i, p in enumerate(instance.repair_duration):
-            if p < 0:
+            if type(p) is not int:
+                bad.append(f"repair duration must be an integer, got {p!r}")
+            elif p < 0:
                 bad.append(f"negative repair duration at vertex {i + 1}")
     return bad
 
@@ -242,10 +245,9 @@ def extract_subtree(instance: Instance, new_source: int) -> Instance:
     )
 
 
-def generate_random(
-    n: int, seed: int, coord_range: int = 1000, name: Optional[str] = None
-) -> Instance:
-    """Random planar instance, deterministic in (n, seed, coord_range).
+def generate_random(n: int, seed: int, coord_range: int = 1000) -> Instance:
+    """Random planar instance named rand-n{n}-s{seed}, deterministic in
+    (n, seed, coord_range).
 
     Vertices get integer coordinates; travel times are rounded Euclidean
     distances (symmetric, zero diagonal). The power tree is a uniform
@@ -274,7 +276,7 @@ def generate_random(
         parent[v] = rng.choice(grown)
         grown.append(v)
     return Instance(
-        name=name or f"rand-n{n}-s{seed}",
+        name=f"rand-n{n}-s{seed}",
         n=n,
         travel=travel,
         power_parent=parent,
@@ -290,18 +292,15 @@ def generate_star_reduction(
 
     With vertex 1 placed at travel time 0 from the depot this is a plain
     minimum-latency tour problem; the depot row/column is otherwise taken as
-    given (no co-location is enforced here).
+    given (no co-location is enforced here). A travel matrix that
+    make_instance rejects raises its ValueError report.
     """
-    inst = make_instance(
+    return make_instance(
         name=name,
         travel=travel,
         power_parent={v: 1 for v in range(2, len(travel))},
         source=1,
     )
-    bad = validate(inst)
-    if bad:
-        raise ValueError("invalid travel matrix: " + "; ".join(bad))
-    return inst
 
 
 # --- JSON contract ---------------------------------------------------------

@@ -142,11 +142,10 @@ def check_assignment(
     x: Sequence[Sequence[float]],
     t: Sequence[float],
     r: Sequence[float],
-    tol: float = TOLERANCE,
 ) -> CheckResult:
-    """Verify every model row within tol and decode the tour if x is one.
+    """Verify every model row within TOLERANCE and decode the tour if x is one.
 
-    Arc values must be integral within tol. When the rounded arcs form
+    Arc values must be integral within TOLERANCE. When the rounded arcs form
     degree-feasible cycles that do not make one tour, the verdict says so;
     the big-M rows then fail as well because arrival times cannot chain
     around a subtour. For a genuine single tour the disruption total is
@@ -174,24 +173,25 @@ def check_assignment(
                 continue
             v = x[i][j]
             rounded[i][j] = int(round(v))
-            if abs(v - rounded[i][j]) > tol or not -tol <= v <= 1 + tol:
+            if (abs(v - rounded[i][j]) > TOLERANCE
+                    or not -TOLERANCE <= v <= 1 + TOLERANCE):
                 violated(f"x_{i}_{j} = {v} is not binary")
 
     for i in range(n + 1):
         out = sum(x[i][j] for j in range(n + 1) if j != i)
-        if abs(out - 1) > tol:
+        if abs(out - 1) > TOLERANCE:
             violated(f"deg_out_{i}: sum = {out}")
         inc = sum(x[j][i] for j in range(n + 1) if j != i)
-        if abs(inc - 1) > tol:
+        if abs(inc - 1) > TOLERANCE:
             violated(f"deg_in_{i}: sum = {inc}")
 
-    if abs(t[0]) > tol:
+    if abs(t[0]) > TOLERANCE:
         violated(f"t_0 = {t[0]} must be 0")
     for i in range(1, n + 1):
-        if t[i] < -tol:
+        if t[i] < -TOLERANCE:
             violated(f"t_{i} = {t[i]} below 0")
     for j in range(1, n + 1):
-        if r[j - 1] < -tol:
+        if r[j - 1] < -TOLERANCE:
             violated(f"r_{j} = {r[j - 1]} below 0")
 
     big_m = model.big_m
@@ -201,10 +201,10 @@ def check_assignment(
                 continue
             lhs = t[j] - t[i] - big_m * x[i][j]
             rhs = model.travel[i][j] - big_m
-            if lhs < rhs - tol:
+            if lhs < rhs - TOLERANCE:
                 violated(f"time_{i}_{j}: {lhs} < {rhs}")
     for j, i in model.linkage:
-        if r[j - 1] < t[i] - tol:
+        if r[j - 1] < t[i] - TOLERANCE:
             violated(f"link_{j}_{i}: r_{j} = {r[j - 1]} < t_{i} = {t[i]}")
 
     res.objective = float(sum(r))
@@ -228,7 +228,7 @@ def check_assignment(
             res.single_tour = True
             res.order = tuple(tour[1:])
             res.route_objective = evaluate_route(instance, index, res.order).objective
-            if res.objective < res.route_objective - tol:
+            if res.objective < res.route_objective - TOLERANCE:
                 violated(
                     f"total disruption {res.objective} below the evaluated "
                     f"route value {res.route_objective}"

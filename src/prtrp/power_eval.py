@@ -15,16 +15,16 @@ from .instance import Instance, Route
 
 @dataclass(frozen=True)
 class PrecedenceIndex:
-    """Per-vertex successor and ancestor sets of the power tree.
+    """Per-vertex ancestor sets and successor counts of the power tree.
 
-    successors[v-1] holds v plus everything below it; ancestors[v-1] holds
-    v plus everything on its path up to the source. Vertex v is energized
-    exactly when its whole ancestor set has been repaired.
+    ancestors[v-1] holds v plus everything on its path up to the source;
+    successor_count[v-1] counts v plus everything below it, the vertices
+    whose ancestor sets hold v. Vertex v is energized exactly when its
+    whole ancestor set has been repaired.
     """
 
     n: int
     source: int
-    successors: Tuple[int, ...]
     successor_count: Tuple[int, ...]
     ancestors: Tuple[int, ...]
 
@@ -42,19 +42,17 @@ def build_index(instance: Instance) -> PrecedenceIndex:
             mask |= 1 << (cur - 1)
         ancestors[v - 1] = mask
 
-    successors = [0] * n
-    for j in range(n):
-        m = ancestors[j]
+    successor_count = [0] * n
+    for m in ancestors:
         while m:
             low = m & -m
-            successors[low.bit_length() - 1] |= 1 << j
+            successor_count[low.bit_length() - 1] += 1
             m ^= low
 
     return PrecedenceIndex(
         n=n,
         source=instance.source,
-        successors=tuple(successors),
-        successor_count=tuple(s.bit_count() for s in successors),
+        successor_count=tuple(successor_count),
         ancestors=tuple(ancestors),
     )
 

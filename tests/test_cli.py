@@ -254,6 +254,21 @@ class TestBench:
             for label in ("Avg. Deviation", "Min. Deviation", "Max. Deviation")
         ]
 
+    def test_generation_defaults(self, capsys):
+        # The flags have no parser default; bench fills in the same values
+        # when it generates.
+        argv = ["bench", "--n", "5", "--methods", "gid", "--no-timing"]
+        code, out, _ = run_cli(capsys, argv)
+        _, spelled_out, _ = run_cli(capsys, argv + [
+            "--count", "1", "--seed", "0", "--coord-range", "1000",
+            "--family", "uniform",
+        ])
+        assert code == 0
+        assert out == spelled_out
+        assert [ln.split(",")[0] for ln in out.splitlines()[1:3]] == [
+            "rand-n5-s0", "Avg. Deviation",
+        ]
+
     def test_bad_limit_exits_2(self, capsys):
         code, out, err = run_cli(
             capsys,
@@ -328,6 +343,18 @@ class TestUnusableInput:
              "coord_range must be >= 0, got -2"),
             (["bench", "--n", "4", "--coord-range", "-2"],
              "coord_range must be >= 0, got -2"),
+            (["generate", "--subtree", "{star}", "--root", "1", "--family", "star",
+              "--coord-range", "5", "-o", "{tmp}"],
+             "generate --subtree takes no --coord-range or --family"),
+            (["generate", "--subtree", "{star}", "--root", "1", "--family", "uniform",
+              "-o", "{tmp}"],
+             "generate --subtree takes no --family"),
+            (["bench", "--dir", "{tmp}/empty", "--n", "7", "--count", "3", "--family",
+              "star", "--methods", "gid"],
+             "bench --dir takes no --n or --count or --family"),
+            (["bench", "--dir", "{tmp}/empty", "--seed", "0", "--coord-range", "1000",
+              "--methods", "gid"],
+             "bench --dir takes no --seed or --coord-range"),
         ],
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
@@ -339,7 +366,10 @@ class TestUnusableInput:
              "solve-time-limit-on-gipd", "bench-time-limit-without-bidp",
              "bench-labels-cap-without-bidp", "generate-root-without-subtree",
              "generate-subtree-with-n", "generate-subtree-with-seed",
-             "generate-negative-coord-range", "bench-negative-coord-range"],
+             "generate-negative-coord-range", "bench-negative-coord-range",
+             "generate-subtree-with-family-and-coord-range",
+             "generate-subtree-with-default-family", "bench-dir-with-generation-flags",
+             "bench-dir-with-default-seed-and-coord-range"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
         (tmp_path / "empty").mkdir()
@@ -368,7 +398,8 @@ class TestGenerate:
         assert code == 0
         path = tmp_path / "rand-n9-s7.json"
         assert path.exists()
-        assert inst_mod.validate(inst_mod.load(path)) == []
+        # --family and --coord-range default to uniform and 1000
+        assert inst_mod.load(path) == generate_random(9, seed=7, coord_range=1000)
 
     def test_star_family(self, capsys, tmp_path):
         run_cli(capsys, ["generate", "--family", "star", "--n", "6", "--seed", "1",
@@ -466,6 +497,24 @@ class TestMipCommands:
         code, out, _ = run_cli(capsys, ["check-mip", str(sol)])
         assert code == 0
         assert json.loads(out)["objective"] == 15
+
+    def test_check_mip_invalid_inline_instance_exits_2_with_report(
+        self, capsys, tmp_path, star
+    ):
+        from prtrp import build_index, encode_route
+
+        x, t, r = encode_route(star, build_index(star), (1, 2, 3))
+        data = json.loads(inst_mod.dumps(star))
+        data["travel"][0][1] = -1
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"instance": data, "x": x, "t": t, "r": r}))
+        code, out, err = run_cli(capsys, ["check-mip", str(sol)])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: instance failed validation:\n"
+            "- negative travel time: travel[0][1] = -1\n"
+        )
 
     @pytest.mark.parametrize(
         "change, message",

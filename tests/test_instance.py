@@ -21,36 +21,45 @@ from conftest import STAR_TRAVEL
 from helpers import latency_brute_force, random_orders, sim_objective_with_durations
 
 
+def unchecked(**fields):
+    """The star built directly as an Instance, so that no rule is checked,
+    with the given fields replaced."""
+    star = {"name": "bad", "n": 3, "travel": STAR_TRAVEL,
+            "power_parent": {2: 1, 3: 1}, "source": 1, "repair_duration": (0, 0, 0)}
+    return Instance(**{**star, **fields})
+
+
+def with_arc(i, j, value):
+    travel = [list(row) for row in STAR_TRAVEL]
+    travel[i][j] = value
+    return travel
+
+
 class TestValidate:
     def test_star_is_valid(self, star):
         assert validate(star) == []
 
-    def test_parent_cycle_is_one_violation(self, star):
-        broken = make_instance("bad", STAR_TRAVEL, {2: 3, 3: 2}, source=1)
-        bad = validate(broken)
+    def test_parent_cycle_is_one_violation(self):
+        bad = validate(unchecked(power_parent={2: 3, 3: 2}))
         assert len(bad) == 1
         assert "power graph not a tree" in bad[0]
 
-    def test_negative_travel_is_one_violation(self, star):
-        travel = [list(row) for row in STAR_TRAVEL]
-        travel[0][1] = -1
-        bad = validate(make_instance("bad", travel, {2: 1, 3: 1}, source=1))
+    def test_negative_travel_is_one_violation(self):
+        bad = validate(unchecked(travel=with_arc(0, 1, -1)))
         assert len(bad) == 1
         assert "negative travel time" in bad[0]
 
     def test_nonzero_diagonal(self):
-        travel = [list(row) for row in STAR_TRAVEL]
-        travel[2][2] = 5
-        bad = validate(make_instance("bad", travel, {2: 1, 3: 1}, source=1))
-        assert any("diagonal" in b for b in bad)
+        with pytest.raises(ValueError, match="diagonal"):
+            make_instance("bad", with_arc(2, 2, 5), {2: 1, 3: 1}, source=1)
 
     def test_source_out_of_range(self):
-        bad = validate(make_instance("bad", STAR_TRAVEL, {2: 1, 3: 1}, source=7))
-        assert any("source" in b for b in bad)
+        with pytest.raises(ValueError, match="source"):
+            make_instance("bad", STAR_TRAVEL, {2: 1, 3: 1}, source=7)
 
     def test_parent_keys_must_cover_non_source_vertices(self):
-        bad = validate(make_instance("bad", STAR_TRAVEL, {2: 1}, source=1))
-        assert any("power_parent" in b for b in bad)
+        with pytest.raises(ValueError, match="power_parent"):
+            make_instance("bad", STAR_TRAVEL, {2: 1}, source=1)
 
     def test_negative_duration(self, star):
         wrong = Instance(
@@ -62,6 +71,61 @@ class TestValidate:
             repair_duration=(0, -2, 0),
         )
         assert any("repair duration" in b for b in validate(wrong))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"name": 5}, "name must be a string, got 5"),
+            ({"travel": with_arc(0, 1, 1.5)},
+             "every value in travel row 0 must be an integer, got 1.5"),
+            ({"travel": with_arc(1, 2, "1")},
+             "every value in travel row 1 must be an integer, got '1'"),
+            ({"source": "1"}, "source must be an integer, got '1'"),
+            ({"source": True}, "source must be an integer, got True"),
+            ({"power_parent": {"2": 1, 3: 1}},
+             "power edge child must be an integer, got '2'"),
+            ({"power_parent": {2: "1", 3: 1}},
+             "power parent of 2 must be an integer, got '1'"),
+            ({"repair_duration": (0, "0", 0)},
+             "repair duration must be an integer, got '0'"),
+        ],
+        ids=["name", "float-arc", "string-arc", "source", "bool-source", "child",
+             "parent", "duration"],
+    )
+    def test_type_is_reported_before_any_comparison(self, fields, message):
+        # On an Instance built directly; a string here would raise
+        # TypeError if it were compared as a number.
+        assert validate(unchecked(**fields)) == [message]
+
+
+class TestMakeInstanceGate:
+    @pytest.mark.parametrize(
+        "travel, power_parent, message",
+        [
+            (STAR_TRAVEL, {2: 3, 3: 2}, "power graph not a tree: cycle through vertex"),
+            (STAR_TRAVEL, {2: 9, 3: 1}, "power parent of 2 outside 1..3"),
+            (STAR_TRAVEL, {2: 1}, "power_parent must map exactly"),
+            (with_arc(0, 1, -1), {2: 1, 3: 1},
+             "negative travel time: travel[0][1] = -1"),
+        ],
+        ids=["cyclic-parents", "parent-outside", "missing-parent", "negative-arc"],
+    )
+    def test_invalid_instance_raises_the_report(self, travel, power_parent, message):
+        with pytest.raises(ValueError) as caught:
+            make_instance("bad", travel, power_parent, source=1)
+        assert str(caught.value).startswith("instance failed validation:\n- ")
+        assert message in str(caught.value)
+
+    def test_report_lists_every_violation(self):
+        travel = with_arc(2, 2, 5)
+        travel[0][1] = -1
+        with pytest.raises(ValueError) as caught:
+            make_instance("bad", travel, {2: 1, 3: 1}, source=1)
+        assert str(caught.value) == (
+            "instance failed validation:\n"
+            "- negative travel time: travel[0][1] = -1\n"
+            "- nonzero diagonal: travel[2][2] = 5"
+        )
 
 
 class TestAbsorbRepairDurations:
@@ -189,8 +253,11 @@ class TestGenerators:
         assert inst.source == 1
 
     def test_star_reduction_rejects_bad_matrix(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             generate_star_reduction([[0, -1], [1, 0]])
+        assert str(caught.value) == (
+            "instance failed validation:\n- negative travel time: travel[0][1] = -1"
+        )
 
 
 def _co_located_star(travel):
