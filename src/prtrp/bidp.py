@@ -324,9 +324,9 @@ def solve(
             break
 
         # Refresh the incumbent by greedily completing the best new labels.
-        for lab in heapq.nsmallest(
-            UB_REFRESH_WIDTH, frontier.values(), key=lambda lb: lb[0]
-        ):
+        # Labels compare as tuples, value then mask then endpoint, so a
+        # value tie never falls to the order candidates were generated in.
+        for lab in heapq.nsmallest(UB_REFRESH_WIDTH, frontier.values()):
             route = greedy_complete(instance, index, _forward_order(lab))
             if route.objective < ub:
                 ub = route.objective
