@@ -13,10 +13,9 @@ of one path completes every path sharing its configuration.
 New labels are screened by the walk-relaxation bound of bounds.WalkTable
 against the incumbent upper bound ub: the better of two local-search
 descents (heuristics.descent), one from each greedy tour, at the start,
-then refreshed after each level by greedily completing the
-UB_REFRESH_WIDTH (32) best labels. A label reaching level k+1 survives
-when its bound is at most (theta + k * delta) times ub. That threshold is
-one integer cut per level,
+then refreshed after each level from the UB_REFRESH_WIDTH (32) best labels
+(see below). A label reaching level k+1 survives when its bound is at most
+(theta + k * delta) times ub. That threshold is one integer cut per level,
 
     cut = (theta_pct + k * delta_pct) * ub // 100
 
@@ -32,6 +31,26 @@ b > T // 100, so the cut prunes the same labels as the percent-scaled
 test. The per-vertex position thresholds of bounds.compute_beta are not
 applied during the search; they form the threshold table `prtrp bounds`
 prints.
+
+The search stops scoring a parent's candidates once none can pass. Each
+endpoint keeps its fault vertices sorted by (travel, label). A parent of
+value u at endpoint e with w vertices dark walks that list until
+
+    u + w * d(e, v) + floor > cut
+
+where floor is the least entry of H[r] (of G[r] while the source is dark).
+Each candidate's bound is at least its left side, because the dark count
+after v is at least r, and every later vertex is at least as far. The
+vertices never reached count as pruned by the bound, so each level still
+accounts for all n - k candidates of every parent.
+
+The refresh completes each of the best labels nearest-first, the rule of
+heuristics.greedy_complete, and scores the completion on the leg sum from
+the label's value, mask and endpoint, dropping it once it reaches the
+level's best. Only the level's winner is built by greedy_complete, whose
+evaluate_route objective must equal the score; it replaces the incumbent
+when strictly better. Labels are ranked as tuples (value, mask, endpoint),
+so a value tie never falls to the order candidates were generated in.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -225,6 +244,12 @@ def solve(
     theta_pct = cfg.theta_pct
     delta_pct = cfg.delta_pct
     dominance = cfg.use_dominance
+    # Per endpoint, (travel time, vertex, mask bit) of the other fault
+    # vertices, nearest first with ties to the smaller label.
+    nearest = [
+        sorted((row[v], v, 1 << (v - 1)) for v in range(1, n + 1) if v != e)
+        for e, row in enumerate(travel)
+    ]
 
     # Labels are keyed by configuration, so a new label meets the one it
     # dominates or loses to. With dominance off every label gets its own
@@ -259,24 +284,31 @@ def solve(
         r = n - level - 1
         h_r = walks.H[r]
         g_r = walks.G[r]
+        # The rows' floors for the early exit (G[r][source] is
+        # H[r][source], so g_floor also covers the leg into the source).
+        h_floor = min(h_r[1:])
+        g_floor = min(g_r[1:])
         # Counters stay in locals: a dict update per candidate is not free.
-        created = dominated = pruned_bound = 0
+        created = dominated = expanded = 0
         nxt: Dict[int, Label] = {}
         for lab in frontier.values():
             if limit_reached(labels_total + created):
                 break
+            expanded += 1
             value, mask, endpoint, _ = lab
             # While the source is dark, so is every vertex.
             dark = mask & src_bit == 0
             w = n if dark else wcount(mask)
-            row = travel[endpoint]
-            rem = full ^ mask
-            while rem:
-                low = rem & -rem
-                rem ^= low
-                v = low.bit_length()
+            # A leg longer than reach fails the bound test on the floor
+            # alone, and the list runs nearest first.
+            reach = (cut - value - (g_floor if dark else h_floor)) // w
+            for d, v, low in nearest[endpoint]:
+                if d > reach:
+                    break
+                if mask & low:
+                    continue
                 new_mask = mask | low
-                new_value = value + w * row[v]
+                new_value = value + w * d
                 if dark and low != src_bit:
                     bound = new_value + g_r[v]
                 else:
@@ -286,7 +318,6 @@ def solve(
                     if bound <= cut:
                         bound += (wcount(new_mask) - r) * minout[v]
                 if bound > cut:
-                    pruned_bound += 1
                     continue
                 key = (new_mask << 6) | v if dominance else created
                 old = nxt.get(key)
@@ -303,6 +334,9 @@ def solve(
                 ):
                     nxt[key] = (new_value, new_mask, v, lab)
         frontier = nxt
+        # Each parent has n - level candidates; those not built or
+        # dominated failed the bound test, the skipped ones included.
+        pruned_bound = (n - level) * expanded - created - dominated
 
         labels_total += created
         level_stats.append({
@@ -323,11 +357,31 @@ def solve(
                 )
             break
 
-        # Refresh the incumbent by greedily completing the best new labels.
-        # Labels compare as tuples, value then mask then endpoint, so a
-        # value tie never falls to the order candidates were generated in.
+        # Refresh the incumbent from the best new labels, compared as
+        # tuples (with dominance off, equal (value, mask, endpoint) falls to
+        # the parents): score each nearest-first completion, stopping once
+        # it reaches the level's best.
+        best_cost, winner = math.inf, None
         for lab in heapq.nsmallest(UB_REFRESH_WIDTH, frontier.values()):
-            route = greedy_complete(instance, index, _forward_order(lab))
+            cost, mask, cur, _ = lab
+            while mask != full and cost < best_cost:
+                for d, v, low in nearest[cur]:
+                    if not mask & low:
+                        break
+                cost += wcount(mask) * d
+                mask |= low
+                cur = v
+            if cost < best_cost:
+                best_cost, winner = cost, lab
+        if winner is not None:
+            # Only the winner is built and evaluated, which cross-checks
+            # the score against evaluate_route.
+            route = greedy_complete(instance, index, _forward_order(winner))
+            if route.objective != best_cost:
+                raise RuntimeError(
+                    "internal error: scored completion does not re-evaluate "
+                    f"({best_cost} vs {route.objective})"
+                )
             if route.objective < ub:
                 ub = route.objective
                 inc_order = route.order

@@ -10,6 +10,7 @@ from prtrp import (
     build_index,
     evaluate_route,
     generate_random,
+    generate_star_reduction,
     solve,
 )
 from prtrp import bidp
@@ -27,9 +28,10 @@ from helpers import (
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Counts the solver's disrupted-count calls (one per parent label and
-    per candidate once the source is repaired) under the key "calls"; a
-    patched clock can read it to pick its moment."""
+    """Counts the solver's disrupted-count calls under the key "calls": one
+    per parent label once the source is repaired, one per candidate that
+    passes the first bound test, and one per leg the incumbent refresh
+    scores. A patched clock can read it to pick its moment."""
     counter = {"calls": 0}
     real_counter = bidp.make_disrupted_counter
 
@@ -237,16 +239,16 @@ class TestSolveVariants:
 
     @pytest.mark.parametrize("mode", [EXACT, HEURISTIC])
     def test_cap_crossed_by_the_last_labels_keeps_the_search(self, mode):
-        # 37 labels in all; the last level's single label is the 37th, and
+        # 28 labels in all; the last level's single label is the 28th, and
         # no limit is read once it is built.
-        inst = generate_random(6, seed=3)
-        report = solve(inst, SolverConfig(mode=mode, labels_cap=36))
+        inst = generate_random(6, seed=9)
+        report = solve(inst, SolverConfig(mode=mode, labels_cap=27))
         stats = report.stats
-        assert stats["labels_total"] == 37
+        assert stats["labels_total"] == 28
         assert len(stats["levels"]) == inst.n
         assert not stats["labels_cap_reached"]
         assert stats["join_candidates"] == stats["levels"][-1]["fwd_created"] > 0
-        assert report.objective == 8313
+        assert report.objective == 7233
         assert report.proven_optimal == (mode == EXACT)
 
     def test_cap_crossed_inside_the_last_level_still_stops(self):
@@ -364,6 +366,30 @@ class TestBoundCut:
         assert (report.objective, report.route.order) == result
 
 
+class TestIncumbentRefresh:
+    # The incumbent after the descents and after each level, on instances
+    # where the refresh's completions lower it.
+    @pytest.mark.parametrize(
+        "inst, config, trajectory, result",
+        [
+            (generate_random(9, seed=10), SolverConfig(),
+             [14143, 14143, 13900, 13900, 13900, 13900, 13514, 13514, 13514, 13514],
+             (13514, (2, 5, 4, 8, 1, 9, 7, 3, 6))),
+            (generate_random(9, seed=10), SolverConfig(mode=HEURISTIC, theta=0.8),
+             [14143, 14143, 13900, 13900, 13900, 13900, 13900],
+             (13900, (2, 5, 4, 8, 1, 3, 9, 7, 6))),
+            (generate_star_reduction(generate_random(9, seed=13).travel),
+             SolverConfig(), [14293] + [14046] * 9,
+             (14046, (7, 5, 4, 6, 1, 2, 3, 8, 9))),
+        ],
+        ids=["exact", "theta-0.8", "star-exact"],
+    )
+    def test_trajectory_is_pinned(self, inst, config, trajectory, result):
+        report = solve(inst, config)
+        assert report.stats["u_trajectory"] == trajectory
+        assert (report.objective, report.route.order) == result
+
+
 class TestReportShape:
     def test_stats_fields(self, star):
         report = solve(star)
@@ -379,6 +405,26 @@ class TestReportShape:
             assert key in level
         assert stats["wall_time_sec"] >= 0
         assert report.route.objective == report.objective
+
+    @pytest.mark.parametrize("family", ["uniform", "star"])
+    @pytest.mark.parametrize(
+        "config",
+        [SolverConfig(), SolverConfig(mode=HEURISTIC, theta=0.7, delta=0.01),
+         SolverConfig(use_dominance=False)],
+        ids=["exact", "theta-0.7-delta-0.01", "dominance-off"],
+    )
+    def test_every_candidate_is_counted_once(self, family, config):
+        # At 0-based level k each parent has n - k candidates, and each is
+        # built, dominated or pruned by the bound.
+        for seed in (1, 2, 3):
+            inst = generate_random(9, seed=seed)
+            if family == "star":
+                inst = generate_star_reduction(inst.travel)
+            parents = 1
+            for k, st in enumerate(solve(inst, config).stats["levels"]):
+                assert st["fwd_created"] + st["fwd_dominated"] + \
+                    st["fwd_pruned_bound"] == (inst.n - k) * parents, (seed, k)
+                parents = st["fwd_created"]
 
     def test_return_legs_are_counted_at_level_one(self):
         inst = generate_random(10, seed=5)
