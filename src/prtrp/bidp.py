@@ -393,29 +393,19 @@ def solve(
             break
 
     # Each label left has visited every vertex, and the leg back into the
-    # depot costs nothing, so its value is the tour's. join_candidates
-    # counts the complete tours compared.
-    best: Optional[Tuple[int, Tuple[int, ...]]] = None
-    join_candidates = 0
+    # depot costs nothing, so its value is the tour's. The result is the
+    # least (objective, order) among these tours and the incumbent.
+    tours = []
     if not timed_out and not cap_hit:
-        for lab in frontier.values():
-            join_candidates += 1
-            if best is None or lab[0] < best[0] or (
-                lab[0] == best[0] and _forward_order(lab) < best[1]
-            ):
-                best = (lab[0], _forward_order(lab))
+        tours = [(lab[0], _forward_order(lab)) for lab in frontier.values()]
         if cfg.mode == EXACT:
-            if best is None:
+            if not tours:
                 raise RuntimeError("internal error: exact search built no complete tour")
-            if best[0] > ub:
+            if min(tours)[0] > ub:
                 raise RuntimeError(
                     "internal error: exact search ended worse than the incumbent"
                 )
-
-    if best is None or (ub, inc_order) < best:
-        final_obj, final_order = ub, inc_order
-    else:
-        final_obj, final_order = best
+    final_obj, final_order = min([(ub, inc_order), *tours])
 
     route = evaluate_route(instance, index, final_order)
     if route.objective != final_obj:
@@ -434,7 +424,7 @@ def solve(
         "u_trajectory": u_trajectory,
         "levels": level_stats,
         "labels_total": labels_total,
-        "join_candidates": join_candidates,
+        "join_candidates": len(tours),
         "time_limit_reached": timed_out,
         "labels_cap_reached": cap_hit,
         "wall_time_sec": wall,

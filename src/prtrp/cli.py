@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -199,7 +200,11 @@ def cmd_bench(args) -> int:
     # The limits every method shares, then each token's config, are checked
     # once: a bad one is an input error, not a failure of each row.
     _solver_config(args, "bidp")
-    tokens = [_parse_method_token(args, t) for t in args.methods.split(",")]
+    names = args.methods.split(",")
+    for t in names:
+        if names.count(t) > 1:
+            raise ValueError(f"method token {t!r} given more than once")
+    tokens = [_parse_method_token(args, t) for t in names]
     _limits_need_bidp(args, [name for _, name, _ in tokens])
     instances = _bench_instances(args)
 
@@ -259,6 +264,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    # A trailing separator names a directory, never a file to write.
+    out = Path(args.output or ".")
+    if args.output and args.output.endswith(("/", os.sep)) and not out.is_dir():
+        raise FileNotFoundError(f"output directory not found: {args.output}")
     if args.subtree:
         if args.root is None:
             raise ValueError("generate --subtree needs --root")
@@ -277,7 +286,6 @@ def cmd_generate(args) -> int:
     bad = inst_mod.validate(made)
     if bad:
         raise RuntimeError("generated instance failed validation: " + "; ".join(bad))
-    out = Path(args.output) if args.output else Path(".")
     path = out / f"{made.name}.json" if out.is_dir() else out
     inst_mod.save(made, path)
     print(path)

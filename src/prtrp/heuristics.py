@@ -19,8 +19,15 @@ from .power_eval import (
 )
 
 
-def _greedy_extend(instance: Instance, start: Sequence[int]) -> Tuple[int, ...]:
-    """Extend a partial order by always moving to the nearest unvisited vertex."""
+def _greedy_extend(
+    instance: Instance, start: Sequence[int], weight: Sequence[int]
+) -> Tuple[int, ...]:
+    """Extend a partial order by always moving to the unvisited vertex v
+    with the least d(cur, v) / weight[v].
+
+    Ratios are compared exactly by cross multiplication; ties go to the
+    smallest label. Unit weights give the nearest-first rule.
+    """
     travel = instance.travel
     order: List[int] = list(start)
     started = set(order)
@@ -28,7 +35,11 @@ def _greedy_extend(instance: Instance, start: Sequence[int]) -> Tuple[int, ...]:
     cur = order[-1] if order else 0
     while unvisited:
         row = travel[cur]
-        best = min(unvisited, key=lambda v: (row[v], v))
+        best = unvisited[0]
+        for v in unvisited[1:]:
+            # v beats best iff d_v / w_v < d_best / w_best
+            if row[v] * weight[best] < row[best] * weight[v]:
+                best = v
         order.append(best)
         unvisited.remove(best)
         cur = best
@@ -37,31 +48,17 @@ def _greedy_extend(instance: Instance, start: Sequence[int]) -> Tuple[int, ...]:
 
 def greedy_distance(instance: Instance, index: PrecedenceIndex) -> Route:
     """Nearest-unvisited-first tour."""
-    return evaluate_route(instance, index, _greedy_extend(instance, ()))
+    order = _greedy_extend(instance, (), (1,) * (instance.n + 1))
+    return evaluate_route(instance, index, order)
 
 
 def greedy_priority_distance(instance: Instance, index: PrecedenceIndex) -> Route:
     """Tour greedy in travel time divided by successor count.
 
     From vertex i the next stop minimizes d_ij / |S_j|, so vertices feeding
-    large subtrees get pulled forward. Ratios are compared exactly by cross
-    multiplication; ties go to the smallest label.
+    large subtrees get pulled forward.
     """
-    travel = instance.travel
-    count = index.successor_count
-    order: List[int] = []
-    unvisited = list(range(1, instance.n + 1))
-    cur = 0
-    while unvisited:
-        row = travel[cur]
-        best = unvisited[0]
-        for v in unvisited[1:]:
-            # v beats best iff d_v / |S_v| < d_best / |S_best|
-            if row[v] * count[best - 1] < row[best] * count[v - 1]:
-                best = v
-        order.append(best)
-        unvisited.remove(best)
-        cur = best
+    order = _greedy_extend(instance, (), (0, *index.successor_count))
     return evaluate_route(instance, index, order)
 
 
@@ -78,31 +75,37 @@ def greedy_complete(
 ) -> Route:
     """Complete a duplicate-free outgoing prefix by the nearest-first rule."""
     check_partial(instance.n, prefix)
-    return evaluate_route(instance, index, _greedy_extend(instance, prefix))
+    order = _greedy_extend(instance, prefix, (1,) * (instance.n + 1))
+    return evaluate_route(instance, index, order)
 
 
 def _moves(order: List[int]) -> Iterator[Tuple[int, List[int]]]:
     """The descent's moves as (first, window): the move rewrites
     order[first:first + len(window)] to window.
 
-    Relocates of a segment of 1-3 vertices to every other place come
-    first, then swaps of two vertices, then 2-opt reversals of a stretch
-    of three or more (two is a swap).
+    Relocations of a segment of 1-3 vertices come first, then swaps of two
+    vertices, then 2-opt reversals. Each distinct move is yielded once, at
+    its first place in that order:
+    - a segment of s vertices moves left past more than s vertices, or
+      right past at least s; a shorter move is the relocation, scanned
+      earlier, of the vertices it jumps;
+    - swapped vertices are not adjacent, since that swap is a relocation;
+    - a reversal spans four or more vertices, since reversing three swaps
+      the ends.
     """
     n = len(order)
     for size in (1, 2, 3):
         for a in range(n - size + 1):
             seg = order[a:a + size]
-            for b in range(n - size + 1):
-                if b < a:
-                    yield b, seg + order[b:a]
-                elif b > a:
-                    yield a, order[a + size:b + size] + seg
-    for a in range(n - 1):
-        for b in range(a + 1, n):
-            yield a, [order[b]] + order[a + 1:b] + [order[a]]
+            for b in range(a - size):
+                yield b, seg + order[b:a]
+            for b in range(a + size, n - size + 1):
+                yield a, order[a + size:b + size] + seg
     for a in range(n - 2):
         for b in range(a + 2, n):
+            yield a, [order[b]] + order[a + 1:b] + [order[a]]
+    for a in range(n - 3):
+        for b in range(a + 3, n):
             yield a, order[a:b + 1][::-1]
 
 

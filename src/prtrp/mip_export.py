@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance, Matrix
-from .power_eval import PrecedenceIndex, evaluate_route
+from .power_eval import PrecedenceIndex, evaluate_route, vertices
 
 TOLERANCE = 1e-6
 
@@ -55,13 +55,9 @@ def build_model(
             for j in range(n + 1)
             if i != j
         )
-    linkage = []
-    for j in range(1, n + 1):
-        m = index.ancestors[j - 1]
-        while m:
-            low = m & -m
-            m ^= low
-            linkage.append((j, low.bit_length()))
+    linkage = [
+        (j, i) for j in range(1, n + 1) for i in vertices(index.ancestors[j - 1])
+    ]
     return MipModel(
         name=instance.name,
         n=n,

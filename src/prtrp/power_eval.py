@@ -7,8 +7,9 @@ solver hot loops compare and hash sets as single integers. Supports up to
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 from .instance import Instance, Route
 
@@ -29,6 +30,18 @@ class PrecedenceIndex:
     ancestors: Tuple[int, ...]
 
 
+def vertices(mask: int) -> Iterator[int]:
+    """The vertices of a mask (bit v-1 is vertex v), smallest label first.
+
+    The one walk over a mask's bits: the index, the route evaluation and
+    the MIP linkage rows all read ancestor sets through it.
+    """
+    while mask:
+        low = mask & -mask
+        yield low.bit_length()
+        mask ^= low
+
+
 def build_index(instance: Instance) -> PrecedenceIndex:
     """Index a valid instance. O(n^2) mask construction."""
     n = instance.n
@@ -44,10 +57,8 @@ def build_index(instance: Instance) -> PrecedenceIndex:
 
     successor_count = [0] * n
     for m in ancestors:
-        while m:
-            low = m & -m
-            successor_count[low.bit_length() - 1] += 1
-            m ^= low
+        for v in vertices(m):
+            successor_count[v - 1] += 1
 
     return PrecedenceIndex(
         n=n,
@@ -71,21 +82,12 @@ def disrupted_count(index: PrecedenceIndex, repaired: int) -> int:
 
 
 def make_disrupted_counter(index: PrecedenceIndex) -> Callable[[int], int]:
-    """Memoized disrupted_count for hot loops.
+    """disrupted_count of this index, memoized by functools.cache.
 
     Each counter owns its memo, so its memory lives as long as the counter.
     Values never depend on what was cached before.
     """
-    n = index.n
-    memo: Dict[int, int] = {0: n, (1 << n) - 1: 0}
-
-    def count(repaired: int) -> int:
-        v = memo.get(repaired)
-        if v is None:
-            v = memo[repaired] = disrupted_count(index, repaired)
-        return v
-
-    return count
+    return functools.cache(functools.partial(disrupted_count, index))
 
 
 def check_partial(n: int, order: Sequence[int]) -> None:
@@ -128,17 +130,7 @@ def evaluate_route(
         prev = v
     # The leg back to the depot has everything repaired and costs nothing.
 
-    r = [0] * n
-    for v in range(1, n + 1):
-        m = index.ancestors[v - 1]
-        best = 0
-        while m:
-            low = m & -m
-            m ^= low
-            tv = t[low.bit_length() - 1]
-            if tv > best:
-                best = tv
-        r[v - 1] = best
+    r = [max(t[u - 1] for u in vertices(a)) for a in index.ancestors]
     objective = sum(r)
     if objective != legs_total:
         raise RuntimeError(

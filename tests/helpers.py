@@ -162,3 +162,43 @@ def random_orders(rng, n: int, count: int):
     for _ in range(count):
         rng.shuffle(verts)
         yield tuple(verts)
+
+
+def plain_moves(order: Sequence[int]):
+    """Every relocate, swap and 2-opt move as (first, window), in the
+    descent's scan order and with repeats: relocates of 1-3 vertices to
+    every other place, swaps of every pair, reversals of every stretch of
+    three or more."""
+    order = list(order)
+    n = len(order)
+    for size in (1, 2, 3):
+        for a in range(n - size + 1):
+            seg = order[a:a + size]
+            for b in range(n - size + 1):
+                if b < a:
+                    yield b, seg + order[b:a]
+                elif b > a:
+                    yield a, order[a + size:b + size] + seg
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            yield a, [order[b]] + order[a + 1:b] + [order[a]]
+    for a in range(n - 2):
+        for b in range(a + 2, n):
+            yield a, order[a:b + 1][::-1]
+
+
+def reference_descent(instance, start: Sequence[int]) -> Tuple[int, ...]:
+    """First-improvement descent over plain_moves, scored by leg_sum_objective:
+    take the first move that lowers the objective and rescan, until none does."""
+    order = list(start)
+    value = leg_sum_objective(instance, order)
+    improved = True
+    while improved:
+        improved = False
+        for first, window in plain_moves(order):
+            moved = order[:first] + window + order[first + len(window):]
+            moved_value = leg_sum_objective(instance, moved)
+            if moved_value < value:
+                order, value, improved = moved, moved_value, True
+                break
+    return tuple(order)

@@ -1,8 +1,9 @@
-"""Strict LP-format linter, independent of the writer.
+"""Strict LP-format linter and reader, independent of the writer.
 
-Checks section structure, row syntax, name and number tokens, duplicate
-row names, and that binaries were declared with valid names. Returns a
-list of problems; an empty list means the file lints clean.
+lint_lp checks section structure, row syntax, name and number tokens,
+duplicate row names, and that binaries were declared with valid names. It
+returns a list of problems; an empty list means the file lints clean.
+read_lp reads a clean file back into coefficients a MIP solver can take.
 """
 
 import re
@@ -87,3 +88,51 @@ def lint_lp(text: str):
     if seen_constraints == 0:
         problems.append("no constraint rows")
     return problems
+
+
+_SIGNED_TERM_RE = re.compile(rf"([+-]?)\s*(?:({_NUM})\s+)?({_NAME})")
+
+
+def _coefficients(expr: str):
+    coefs = {}
+    for sign, num, name in _SIGNED_TERM_RE.findall(expr):
+        value = float(num) if num else 1.0
+        coefs[name] = coefs.get(name, 0.0) + (-value if sign == "-" else value)
+    return coefs
+
+
+def read_lp(text: str):
+    """A minimization model from lint-clean LP text, as (objective, rows,
+    bounds, binaries): objective and each row's coefficients map variable
+    names to numbers, rows are (coefficients, sense, rhs), bounds are
+    (name, sense, value) from the `name <op> value` bound lines, and
+    binaries lists the binary variables. Anything else raises ValueError."""
+    problems = lint_lp(text)
+    if problems:
+        raise ValueError("; ".join(problems))
+    objective, rows, bounds, binaries = {}, [], [], []
+    state = "start"
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("\\"):
+            continue
+        section = _SECTIONS.get(line.lower())
+        if section:
+            if section == "objective" and line.lower() != "minimize":
+                raise ValueError(f"only minimization is read, not {line!r}")
+            state = section
+        elif state == "objective":
+            objective = _coefficients(line.split(":", 1)[-1])
+        elif state == "constraints":
+            _, expr, sense, rhs = _ROW_RE.match(line).groups()
+            rows.append((_coefficients(expr), sense, float(rhs)))
+        elif state == "bounds":
+            m = re.fullmatch(rf"({_NAME})\s*(<=|>=|=)\s*({_NUM})", line)
+            if not m:
+                raise ValueError(f"unread bound line {line!r}")
+            bounds.append((m.group(1), m.group(2), float(m.group(3))))
+        elif state == "binaries":
+            binaries.extend(line.split())
+        else:
+            raise ValueError(f"unread {state} line {line!r}")
+    return objective, rows, bounds, binaries

@@ -355,6 +355,10 @@ class TestUnusableInput:
             (["bench", "--dir", "{tmp}/empty", "--seed", "0", "--coord-range", "1000",
               "--methods", "gid"],
              "bench --dir takes no --seed or --coord-range"),
+            (["generate", "--n", "4", "--seed", "1", "-o", "{tmp}/missing/"],
+             "output directory not found: {tmp}/missing/"),
+            (["bench", "--n", "4", "--methods", "gid,bidp:0.8,gid"],
+             "method token 'gid' given more than once"),
         ],
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
@@ -369,7 +373,8 @@ class TestUnusableInput:
              "generate-negative-coord-range", "bench-negative-coord-range",
              "generate-subtree-with-family-and-coord-range",
              "generate-subtree-with-default-family", "bench-dir-with-generation-flags",
-             "bench-dir-with-default-seed-and-coord-range"],
+             "bench-dir-with-default-seed-and-coord-range",
+             "generate-into-missing-directory", "bench-repeated-method-token"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
         (tmp_path / "empty").mkdir()
@@ -386,7 +391,8 @@ class TestUnusableInput:
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert message in err
+        assert message.format(tmp=tmp_path) in err
+        assert not (tmp_path / "missing").exists()
 
 
 class TestGenerate:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from prtrp import (
@@ -5,6 +7,7 @@ from prtrp import (
     build_index,
     evaluate_route,
     generate_random,
+    generate_star_reduction,
     greedy_complete,
     greedy_distance,
     greedy_priority_distance,
@@ -12,6 +15,8 @@ from prtrp import (
 )
 from prtrp import heuristics
 from prtrp.heuristics import descent, greedy_incumbent
+
+from helpers import plain_moves, reference_descent
 
 
 class TestGreedyDistance:
@@ -176,6 +181,26 @@ class TestDescent:
         assert stopped == evaluate_route(inst, index, stopped.order)
         # A deadline already past returns the start.
         assert run(0) == start
+
+
+class TestMoves:
+    def test_each_move_once_at_its_first_place(self):
+        for n in range(1, 31):
+            order = list(range(1, n + 1))
+            firsts = dict.fromkeys((a, tuple(w)) for a, w in plain_moves(order))
+            moves = [(a, tuple(w)) for a, w in heuristics._moves(order)]
+            assert moves == list(firsts), n
+
+    def test_descent_matches_the_reference_over_every_move(self):
+        rng = random.Random(2012)
+        for k in range(100):
+            n = 4 + k % 6
+            inst = generate_random(n, seed=1600 + k)
+            if k // 6 % 2:
+                inst = generate_star_reduction(inst.travel)
+            start = rng.sample(range(1, n + 1), n)
+            route = descent(inst, build_index(inst), start)
+            assert route.order == reference_descent(inst, start), k
 
 
 class TestDeterminism:
