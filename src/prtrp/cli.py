@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -263,11 +264,15 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _check_output_dir(output: Optional[str]) -> None:
+    """A trailing separator names a directory, never a file to write."""
+    if output and output.endswith(("/", os.sep)) and not Path(output).is_dir():
+        raise FileNotFoundError(f"output directory not found: {output}")
+
+
 def cmd_generate(args) -> int:
-    # A trailing separator names a directory, never a file to write.
+    _check_output_dir(args.output)
     out = Path(args.output or ".")
-    if args.output and args.output.endswith(("/", os.sep)) and not out.is_dir():
-        raise FileNotFoundError(f"output directory not found: {args.output}")
     if args.subtree:
         if args.root is None:
             raise ValueError("generate --subtree needs --root")
@@ -319,6 +324,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_export_mip(args) -> int:
+    _check_output_dir(args.output)
+    if args.output and Path(args.output).is_dir():
+        raise ValueError(f"export-mip -o names a directory, not a file: {args.output}")
     inst = _load_instance(args.instance)
     work = inst_mod.absorb_repair_durations(inst)
     model = mip_export.build_model(work, build_index(work), big_m=args.big_m)
@@ -433,7 +441,11 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later main() call in the process (parse_args keeps no state between
+    calls)."""
     parser = argparse.ArgumentParser(
         prog="prtrp",
         description="Route one repair crew over a damaged radial power "

@@ -359,6 +359,10 @@ class TestUnusableInput:
              "output directory not found: {tmp}/missing/"),
             (["bench", "--n", "4", "--methods", "gid,bidp:0.8,gid"],
              "method token 'gid' given more than once"),
+            (["export-mip", "{star}", "-o", "{tmp}/missing/"],
+             "output directory not found: {tmp}/missing/"),
+            (["export-mip", "{star}", "-o", "{tmp}/empty"],
+             "export-mip -o names a directory, not a file: {tmp}/empty"),
         ],
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
@@ -374,7 +378,8 @@ class TestUnusableInput:
              "generate-subtree-with-family-and-coord-range",
              "generate-subtree-with-default-family", "bench-dir-with-generation-flags",
              "bench-dir-with-default-seed-and-coord-range",
-             "generate-into-missing-directory", "bench-repeated-method-token"],
+             "generate-into-missing-directory", "bench-repeated-method-token",
+             "export-mip-into-missing-directory", "export-mip-onto-directory"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
         (tmp_path / "empty").mkdir()
@@ -393,6 +398,34 @@ class TestUnusableInput:
         assert out == ""
         assert message.format(tmp=tmp_path) in err
         assert not (tmp_path / "missing").exists()
+        assert list((tmp_path / "empty").iterdir()) == []
+
+
+class TestParserReuse:
+    def test_repeated_main_calls_share_no_state(self, capsys, monkeypatch, tmp_path):
+        # main() builds its parser once per process; no call may leave
+        # anything behind that a later call reads.
+        path = str(inst_mod.save(generate_random(6, seed=3), tmp_path / "n6.json"))
+        calls = [
+            ["solve", path, "--theta", "0.8", "--delta", "0.01", "--no-timing"],
+            ["solve", path, "--no-timing"],
+            ["solve", path, "--no-such-flag"],
+            ["solve", path, "--no-timing"],
+            ["bounds", path],
+            ["evaluate", path, "--order", "1,2,3,4,5,6"],
+        ]
+        shared = [run_cli(capsys, argv) for argv in calls]
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+        for _, out, _ in (shared[1], shared[3]):
+            result = json.loads(out)
+            assert (result["config"]["theta"], result["config"]["delta"]) == (1.0, 0.0)
+            assert result["stats"]["mode"] == "exact"
+            assert result["proven_optimal"] is True
+        assert "unrecognized arguments: --no-such-flag" in shared[2][2]
+        # Each call again, each with a parser of its own.
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = [run_cli(capsys, argv) for argv in calls]
+        assert shared == fresh
 
 
 class TestGenerate:

@@ -188,13 +188,22 @@ class TestMoves:
         for n in range(1, 31):
             order = list(range(1, n + 1))
             firsts = dict.fromkeys((a, tuple(w)) for a, w in plain_moves(order))
-            moves = [(a, tuple(w)) for a, w in heuristics._moves(order)]
+            # Render each table entry as the window it writes over order.
+            moves = [(first, tuple(order[p] for p in positions))
+                     for first, _, positions in heuristics._move_table(n)]
             assert moves == list(firsts), n
+
+    def test_each_move_permutes_its_window(self):
+        for n in range(1, 31):
+            for first, end, positions in heuristics._move_table(n):
+                assert 0 <= first < end <= n, (n, first, end)
+                assert sorted(positions) == list(range(first, end)), (n, first)
 
     def test_descent_matches_the_reference_over_every_move(self):
         rng = random.Random(2012)
-        for k in range(100):
-            n = 4 + k % 6
+        # n = 4-9, then the small-batch sizes n = 10-12.
+        sizes = [4 + k % 6 for k in range(100)] + [10 + k % 3 for k in range(24)]
+        for k, n in enumerate(sizes):
             inst = generate_random(n, seed=1600 + k)
             if k // 6 % 2:
                 inst = generate_star_reduction(inst.travel)
