@@ -10,8 +10,9 @@ Everything is exact integer arithmetic.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import List, NamedTuple, Tuple
 
 from .instance import Instance
@@ -41,12 +42,9 @@ class BoundsTable:
 
 def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTable:
     n = instance.n
-    shortest = sorted(
-        instance.travel[i][j]
-        for i in range(n + 1)
-        for j in range(n + 1)
-        if i != j
-    )[:n]
+    shortest = heapq.nsmallest(n, chain.from_iterable(
+        chain(row[:i], row[i + 1:]) for i, row in enumerate(instance.travel)
+    ))
     return BoundsTable(
         n=n,
         prefix_plain=(0, *accumulate(shortest)),

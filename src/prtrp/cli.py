@@ -312,14 +312,12 @@ def cmd_bounds(args) -> int:
     writer.writerow(
         ["vertex", "successor_count", "beta"] + [f"L_k{k}" for k in range(1, n + 1)]
     )
-    for i in range(1, n + 1):
-        row: List[object] = [i, index.successor_count[i - 1], beta[i - 1]]
-        for k in range(1, n + 1):
-            if k > n - index.successor_count[i - 1]:
-                row.append(bounds.position_lower_bound(table, i, k))
-            else:
-                row.append("")
-        writer.writerow(row)
+    for i, count in enumerate(index.successor_count, 1):
+        # L_k applies from position n - |S_i| + 1 on.
+        free = n - count
+        lower = map(functools.partial(bounds.position_lower_bound, table, i),
+                    range(free + 1, n + 1))
+        writer.writerow([i, count, beta[i - 1], *[""] * free, *lower])
     return EXIT_OK
 
 
@@ -343,10 +341,11 @@ def _numbers(values, where: str) -> List[float]:
     """values as floats; ValueError unless a list of finite numbers."""
     if not isinstance(values, list):
         raise ValueError(f"{where} must be a list of numbers, got {values!r}")
-    for i, v in enumerate(values):
-        if type(v) not in (int, float) or not math.isfinite(v):
-            raise ValueError(f"{where}[{i}] must be a finite number, got {v!r}")
-    return [float(v) for v in values]
+    if not ({*map(type, values)} <= {int, float} and all(map(math.isfinite, values))):
+        for i, v in enumerate(values):
+            if type(v) not in (int, float) or not math.isfinite(v):
+                raise ValueError(f"{where}[{i}] must be a finite number, got {v!r}")
+    return list(map(float, values))
 
 
 def _solution_arcs(x_raw, n: int) -> List[List[float]]:

@@ -12,6 +12,8 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
+from operator import add, getitem
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -100,33 +102,49 @@ def make_instance(
 
 def validate(instance: Instance) -> List[str]:
     """Return every violated instance rule, types included; empty when
-    well-formed. A value of the wrong type is reported, never compared."""
+    well-formed. A value of the wrong type is reported, never compared; a
+    wrongly typed field, as opposed to an entry within one, ends the report."""
     bad: List[str] = []
     if type(instance.name) is not str:
         bad.append(f"name must be a string, got {instance.name!r}")
     n = instance.n
+    if type(n) is not int:
+        bad.append(f"n must be an integer, got {n!r}")
+        return bad
     if n < 1:
         bad.append(f"n must be >= 1, got {n}")
         return bad
 
     size = n + 1
-    if len(instance.travel) != size or any(len(row) != size for row in instance.travel):
+    travel = instance.travel
+    if not _is_list(travel):
+        bad.append(f"travel must be a list of rows, got {travel!r}")
+        return bad
+    for i, row in enumerate(travel):
+        if not _is_list(row):
+            bad.append(f"travel row {i} must be a list of integers, got {row!r}")
+            return bad
+    if len(travel) != size or any(len(row) != size for row in travel):
         bad.append(f"travel matrix must be {size}x{size}")
         return bad
-    for i in range(size):
-        for j in range(size):
-            v = instance.travel[i][j]
-            if type(v) is not int:
-                bad.append(
-                    f"every value in travel row {i} must be an integer, got {v!r}"
-                )
-                continue
-            if i == j and v != 0:
-                bad.append(f"nonzero diagonal: travel[{i}][{i}] = {v}")
-            if v < 0:
-                bad.append(f"negative travel time: travel[{i}][{j}] = {v}")
-            if v > MAX_TRAVEL:
-                bad.append(f"travel[{i}][{j}] exceeds the 64-bit range")
+    # One pass over the whole matrix in builtins; only a matrix that fails
+    # it is walked entry by entry, to report each bad entry in order.
+    if not ({*map(type, chain.from_iterable(travel))} == {int}
+            and min(map(min, travel)) >= 0 and max(map(max, travel)) <= MAX_TRAVEL
+            and not any(map(getitem, travel, range(size)))):
+        for i, row in enumerate(travel):
+            for j, v in enumerate(row):
+                if type(v) is not int:
+                    bad.append(
+                        f"every value in travel row {i} must be an integer, got {v!r}"
+                    )
+                    continue
+                if i == j and v != 0:
+                    bad.append(f"nonzero diagonal: travel[{i}][{i}] = {v}")
+                if v < 0:
+                    bad.append(f"negative travel time: travel[{i}][{j}] = {v}")
+                if v > MAX_TRAVEL:
+                    bad.append(f"travel[{i}][{j}] exceeds the 64-bit range")
 
     if type(instance.source) is not int:
         bad.append(f"source must be an integer, got {instance.source!r}")
@@ -135,6 +153,9 @@ def validate(instance: Instance) -> List[str]:
         bad.append(f"source {instance.source} outside 1..{n}")
         return bad
 
+    if not isinstance(instance.power_parent, dict):
+        bad.append(f"power_parent must be a dict, got {instance.power_parent!r}")
+        return bad
     for child, parent in instance.power_parent.items():
         if type(child) is not int:
             bad.append(f"power edge child must be an integer, got {child!r}")
@@ -166,7 +187,11 @@ def validate(instance: Instance) -> List[str]:
             seen.add(cur)
             cur = instance.power_parent[cur]
 
-    if len(instance.repair_duration) != n:
+    if not _is_list(instance.repair_duration):
+        bad.append(
+            f"repair_duration must be a list of integers, got {instance.repair_duration!r}"
+        )
+    elif len(instance.repair_duration) != n:
         bad.append(f"repair_duration must have length {n}")
     else:
         for i, p in enumerate(instance.repair_duration):
@@ -187,18 +212,23 @@ def absorb_repair_durations(instance: Instance) -> Instance:
     range.
     """
     n = instance.n
-    p = instance.repair_duration
-    rows = []
-    for j in range(n + 1):
-        row = list(instance.travel[j])
-        for i in range(1, n + 1):
-            if i != j:
-                row[i] += p[i - 1]
-                if row[i] > MAX_TRAVEL:
+    shift = (0, *instance.repair_duration)
+    if any(shift):
+        rows = []
+        for j, old in enumerate(instance.travel):
+            row = list(map(add, old, shift))
+            row[j] = old[j]
+            rows.append(tuple(row))
+    else:  # all durations zero, the usual case: the rows stay as they are
+        rows = list(map(tuple, instance.travel))
+    if max(map(max, rows)) > MAX_TRAVEL:
+        # Only a lengthened arc can overflow: name the first in row order.
+        for j, row in enumerate(rows):
+            for i in range(1, n + 1):
+                if i != j and row[i] > MAX_TRAVEL:
                     raise OverflowError(
                         f"travel[{j}][{i}] + duration exceeds the 64-bit range"
                     )
-        rows.append(tuple(row))
     return Instance(
         name=instance.name,
         n=n,

@@ -11,6 +11,8 @@ when the arc values describe one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, count, repeat
+from operator import lt, mul, sub
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance, Matrix
@@ -49,12 +51,7 @@ def build_model(
         raise ValueError(f"big_m must be >= 0, got {big_m}")
     n = instance.n
     if big_m is None:
-        big_m = sum(
-            instance.travel[i][j]
-            for i in range(n + 1)
-            for j in range(n + 1)
-            if i != j
-        )
+        big_m = sum(sum(row) - row[i] for i, row in enumerate(instance.travel))
     linkage = [
         (j, i) for j in range(1, n + 1) for i in vertices(index.ancestors[j - 1])
     ]
@@ -68,35 +65,49 @@ def build_model(
 
 
 def write_lp_text(model: MipModel) -> str:
-    """Serialize the model in LP format, one row per line, stable order."""
+    """Serialize the model in LP format, one row per line, stable order.
+
+    Each arc name is formatted once per pass over the arcs: the row pass
+    writes the out-degree rows and the Binaries section, the column pass
+    the in-degree and big-M rows. No table of all n^2 names is held.
+    """
     n = model.n
     big_m = model.big_m
-    lines = [f"\\ model {model.name}"]
-    lines.append("Minimize")
-    lines.append(" obj: " + " + ".join(f"r_{j}" for j in range(1, n + 1)))
-    lines.append("Subject To")
-    for i in range(n + 1):
-        terms = " + ".join(f"x_{i}_{j}" for j in range(n + 1) if j != i)
-        lines.append(f" deg_out_{i}: {terms} = 1")
-    for i in range(n + 1):
-        terms = " + ".join(f"x_{j}_{i}" for j in range(n + 1) if j != i)
-        lines.append(f" deg_in_{i}: {terms} = 1")
-    for j in range(1, n + 1):
-        for i in range(n + 1):
-            if i == j:
-                continue
-            rhs = model.travel[i][j] - big_m
-            lines.append(f" time_{i}_{j}: t_{j} - t_{i} - {big_m} x_{i}_{j} >= {rhs}")
-    for j, i in model.linkage:
-        lines.append(f" link_{j}_{i}: r_{j} - t_{i} >= 0")
-    lines.append("Bounds")
-    lines.append(" t_0 = 0")
-    lines.append("Binaries")
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if j != i:
-                lines.append(f" x_{i}_{j}")
-    lines.append("End")
+    labels = [str(i) for i in range(n + 1)]
+    out_rows, binaries = [], []
+    for i, si in enumerate(labels):
+        names = [f"x_{si}_{sj}" for sj in labels]
+        del names[i]
+        out_rows.append(f" deg_out_{si}: {' + '.join(names)} = 1")
+        binaries.append(" " + "\n ".join(names))
+    in_rows, time_rows = [], []
+    for j, (sj, column) in enumerate(zip(labels, zip(*model.travel))):
+        names = [f"x_{si}_{sj}" for si in labels]
+        del names[j]
+        in_rows.append(f" deg_in_{sj}: {' + '.join(names)} = 1")
+        if j:
+            tail = f"_{sj}: t_{sj} - t_"
+            rhs = [d - big_m for d in column]
+            del rhs[j]
+            time_rows.append("\n".join([
+                f" time_{si}{tail}{si} - {big_m} {x} >= {b}"
+                for si, x, b in zip(labels[:j] + labels[j + 1:], names, rhs)
+            ]))
+    lines = [
+        f"\\ model {model.name}",
+        "Minimize",
+        " obj: " + " + ".join([f"r_{sj}" for sj in labels[1:]]),
+        "Subject To",
+        *out_rows,
+        *in_rows,
+        *time_rows,
+        *[f" link_{j}_{i}: r_{j} - t_{i} >= 0" for j, i in model.linkage],
+        "Bounds",
+        " t_0 = 0",
+        "Binaries",
+        *binaries,
+        "End",
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -162,22 +173,30 @@ def check_assignment(
         res.violations.append(msg)
         res.feasible = False
 
-    rounded = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        for j in range(n + 1):
-            if i == j:
-                continue
-            v = x[i][j]
-            rounded[i][j] = int(round(v))
-            if (abs(v - rounded[i][j]) > TOLERANCE
-                    or not -TOLERANCE <= v <= 1 + TOLERANCE):
-                violated(f"x_{i}_{j} = {v} is not binary")
+    # Each model row family is tested in one pass over a whole matrix row
+    # or column; only one that fails is walked entry by entry to report.
+    rounded = []
+    for i, row in enumerate(x):
+        off = [*row[:i], *row[i + 1:]]
+        if {*off} <= {0, 1}:
+            near = off
+        else:
+            near = []
+            for j, v in zip(chain(range(i), range(i + 1, n + 1)), off):
+                near.append(int(round(v)))
+                if (abs(v - near[-1]) > TOLERANCE
+                        or not -TOLERANCE <= v <= 1 + TOLERANCE):
+                    violated(f"x_{i}_{j} = {v} is not binary")
+        near.insert(i, 0)
+        rounded.append(near)
 
-    for i in range(n + 1):
-        out = sum(x[i][j] for j in range(n + 1) if j != i)
+    columns = list(zip(*x))
+    for i, (row, column) in enumerate(zip(x, columns)):
+        # Summed in label order, as the model rows list the arcs.
+        out = sum(chain(row[:i], row[i + 1:]))
         if abs(out - 1) > TOLERANCE:
             violated(f"deg_out_{i}: sum = {out}")
-        inc = sum(x[j][i] for j in range(n + 1) if j != i)
+        inc = sum(chain(column[:i], column[i + 1:]))
         if abs(inc - 1) > TOLERANCE:
             violated(f"deg_in_{i}: sum = {inc}")
 
@@ -191,7 +210,16 @@ def check_assignment(
             violated(f"r_{j} = {r[j - 1]} below 0")
 
     big_m = model.big_m
+    travel_columns = list(zip(*model.travel))
     for j in range(1, n + 1):
+        # Rows time_i_j, i != j: t_j - t_i - M x_ij >= d_ij - M, each side
+        # computed as the walk below computes it.
+        lefts = map(sub, map(sub, repeat(t[j]), [*t[:j], *t[j + 1:]]),
+                    map(mul, repeat(big_m), [*columns[j][:j], *columns[j][j + 1:]]))
+        floors = [d - big_m - TOLERANCE for d in travel_columns[j]]
+        del floors[j]
+        if not any(map(lt, lefts, floors)):
+            continue
         for i in range(n + 1):
             if i == j:
                 continue
@@ -205,16 +233,12 @@ def check_assignment(
 
     res.objective = float(sum(r))
 
-    degree_ok = all(
-        sum(rounded[i][j] for j in range(n + 1) if j != i) == 1
-        and sum(rounded[j][i] for j in range(n + 1) if j != i) == 1
-        for i in range(n + 1)
+    degree_ok = all(sum(row) == 1 for row in rounded) and all(
+        sum(column) == 1 for column in zip(*rounded)
     )
     if degree_ok:
-        succ = {
-            i: next(j for j in range(n + 1) if j != i and rounded[i][j])
-            for i in range(n + 1)
-        }
+        # The first arc out of each vertex; the diagonal is 0.
+        succ = {i: next(compress(count(), row)) for i, row in enumerate(rounded)}
         tour = [0]
         cur = succ[0]
         while cur != 0 and len(tour) <= n + 1:

@@ -202,3 +202,39 @@ def reference_descent(instance, start: Sequence[int]) -> Tuple[int, ...]:
                 order, value, improved = moved, moved_value, True
                 break
     return tuple(order)
+
+
+MAX_TRAVEL = 2**63 - 1
+
+
+def reference_travel_report(travel) -> list:
+    """validate's travel messages, walked entry by entry in row order."""
+    bad = []
+    for i, row in enumerate(travel):
+        for j, v in enumerate(row):
+            if type(v) is not int:
+                bad.append(f"every value in travel row {i} must be an integer, got {v!r}")
+                continue
+            if i == j and v != 0:
+                bad.append(f"nonzero diagonal: travel[{i}][{i}] = {v}")
+            if v < 0:
+                bad.append(f"negative travel time: travel[{i}][{j}] = {v}")
+            if v > MAX_TRAVEL:
+                bad.append(f"travel[{i}][{j}] exceeds the 64-bit range")
+    return bad
+
+
+def reference_absorbed_travel(travel, durations):
+    """Every arc into vertex i >= 1 lengthened by durations[i-1], one arc
+    at a time in row order; OverflowError names the first arc that leaves
+    the 64-bit range."""
+    rows = []
+    for j, row in enumerate(travel):
+        row = list(row)
+        for i in range(1, len(row)):
+            if i != j:
+                row[i] += durations[i - 1]
+                if row[i] > MAX_TRAVEL:
+                    raise OverflowError(f"travel[{j}][{i}] + duration exceeds the 64-bit range")
+        rows.append(tuple(row))
+    return tuple(rows)

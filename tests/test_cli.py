@@ -564,9 +564,15 @@ class TestMipCommands:
             (lambda sol: {**sol, "x": sol["x"] + [5]}, "got 5"),
             (lambda sol: {**sol, "x": [[0.4, 4]] + sol["x"][1:]}, "got [0.4, 4]"),
             (lambda sol: [sol], "must hold a JSON object"),
+            (lambda sol: {**sol, "t": [True, *sol["t"][1:]]},
+             "t[0] must be a finite number, got True"),
+            (lambda sol: {**sol, "r": [*sol["r"][:-1], "3"]},
+             "r[3] must be a finite number, got '3'"),
+            (lambda sol: {**sol, "t": [*sol["t"][:-1], float("inf")]},
+             "t[4] must be a finite number, got inf"),
         ],
         ids=["missing-t", "arc-out-of-range", "arc-not-a-pair", "float-arc",
-             "top-level-list"],
+             "top-level-list", "bool-time", "string-disruption", "infinite-time"],
     )
     def test_check_mip_malformed_solution_exits_2(
         self, capsys, tmp_path, change, message

@@ -88,9 +88,18 @@ class TestValidate:
              "power parent of 2 must be an integer, got '1'"),
             ({"repair_duration": (0, "0", 0)},
              "repair duration must be an integer, got '0'"),
+            ({"n": "1"}, "n must be an integer, got '1'"),
+            ({"n": 1.0}, "n must be an integer, got 1.0"),
+            ({"travel": None}, "travel must be a list of rows, got None"),
+            ({"travel": [STAR_TRAVEL[0], None, *STAR_TRAVEL[2:]]},
+             "travel row 1 must be a list of integers, got None"),
+            ({"repair_duration": None},
+             "repair_duration must be a list of integers, got None"),
+            ({"power_parent": None}, "power_parent must be a dict, got None"),
         ],
         ids=["name", "float-arc", "string-arc", "source", "bool-source", "child",
-             "parent", "duration"],
+             "parent", "duration", "string-n", "float-n", "no-travel", "no-row",
+             "no-durations", "no-parent-map"],
     )
     def test_type_is_reported_before_any_comparison(self, fields, message):
         # On an Instance built directly; a string here would raise

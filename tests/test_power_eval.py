@@ -46,8 +46,11 @@ class TestBuildIndex:
         inst = generate_random(8, seed=414)
         index = build_index(inst)
         for i in range(1, 9):
-            holders = sum(1 for a in index.ancestors if a & mask(i))
-            assert index.successor_count[i - 1] == holders
+            holders = tuple(
+                u for u, a in enumerate(index.ancestors, 1) if a & mask(i)
+            )
+            assert index.successors[i - 1] == holders
+            assert index.successor_count[i - 1] == len(holders)
 
 
 class TestDisruptedCount:

@@ -6,6 +6,7 @@ rooted at a drawn source. Examples are derandomized, so every run draws
 the same instances.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -21,8 +22,11 @@ from prtrp import (  # noqa: E402
     build_model,
     build_walk_table,
     check_assignment,
+    disrupted_count,
     encode_route,
     evaluate_route,
+    generate_random,
+    generate_star_reduction,
     make_instance,
     solve,
     validate,
@@ -31,8 +35,11 @@ from prtrp import instance as inst_mod  # noqa: E402
 from prtrp.heuristics import descent  # noqa: E402
 
 from helpers import (  # noqa: E402
+    MAX_TRAVEL,
     ancestor_sets,
     leg_sum_objective,
+    reference_absorbed_travel,
+    reference_travel_report,
     sim_objective_with_durations,
     walk_bound,
 )
@@ -148,3 +155,63 @@ def test_encoded_route_is_a_feasible_assignment(drawn):
     assert res.feasible, res.violations
     assert res.single_tour and res.order == order
     assert res.objective == evaluate_route(work, index, order).objective
+
+
+@EXAMPLES
+@given(st.data())
+def test_leg_sum_is_each_prefix_dark_count_times_its_leg(data):
+    # Uniform and star trees up to the 63-vertex limit; evaluate_route
+    # raises unless its incremental leg sum equals its disruption sum.
+    n = data.draw(st.integers(1, 63))
+    inst = generate_random(n, data.draw(st.integers(1, 10**6)))
+    if data.draw(st.booleans()):
+        inst = generate_star_reduction(inst.travel)
+    index = build_index(inst)
+    order = data.draw(st.permutations(range(1, n + 1)))
+    expected, repaired, prev = 0, 0, 0
+    for v in order:
+        expected += disrupted_count(index, repaired) * inst.travel[prev][v]
+        repaired |= 1 << (v - 1)
+        prev = v
+    assert evaluate_route(inst, index, order).objective == expected
+
+
+BAD_ENTRIES = st.sampled_from(
+    [-1, -(2**63), MAX_TRAVEL + 1, 1.5, 0.0, "3", True, None, 7]
+)
+
+
+@EXAMPLES
+@given(instances(max_n=10), st.data())
+def test_validate_reports_bad_entries_in_entry_order(inst, data):
+    # validate walks the matrix only when its one-pass test fails; a bad
+    # entry in a late row or on the diagonal must still be reported, in order.
+    travel = [list(row) for row in inst.travel]
+    for _ in range(data.draw(st.integers(1, 4))):
+        i = data.draw(st.one_of(st.just(inst.n), st.integers(0, inst.n)))
+        j = data.draw(st.one_of(st.just(i), st.integers(0, inst.n)))
+        travel[i][j] = data.draw(BAD_ENTRIES)
+    assert validate(replace(inst, travel=travel)) == reference_travel_report(travel)
+
+
+@EXAMPLES
+@given(instances(max_n=6, durations=True), st.data())
+def test_absorb_names_the_first_overflowing_arc(inst, data):
+    near_max = st.integers(MAX_TRAVEL - 40, MAX_TRAVEL)
+    travel = [list(row) for row in inst.travel]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i, j = data.draw(st.integers(0, inst.n)), data.draw(st.integers(0, inst.n))
+        travel[i][j] = data.draw(near_max)
+    durations = list(inst.repair_duration)
+    if data.draw(st.booleans()):
+        durations[data.draw(st.integers(0, inst.n - 1))] = data.draw(near_max)
+    raw = replace(inst, travel=tuple(map(tuple, travel)),
+                  repair_duration=tuple(durations))
+    try:
+        expected = reference_absorbed_travel(travel, durations)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as caught:
+            absorb_repair_durations(raw)
+        assert str(caught.value) == str(exc)
+    else:
+        assert absorb_repair_durations(raw).travel == expected
