@@ -81,37 +81,142 @@ def greedy_complete(
 
 
 @functools.cache
-def _move_table(n: int) -> Tuple[Tuple[int, int, Tuple[int, ...]], ...]:
-    """The descent's moves on n vertices as (first, end, positions): the
-    move rewrites order[first:end] to [order[p] for p in positions].
+def _move_table(n: int) -> Tuple[
+    Tuple[Tuple[int, int, range, range], ...],
+    Tuple[Tuple[int, int, Tuple[int, ...]], ...],
+]:
+    """The descent's moves on n vertices, in scan order, as
+    (relocations, windows).
 
-    Relocations of a segment of 1-3 vertices come first, then swaps of two
-    vertices, then 2-opt reversals. Each distinct move is listed once, at
-    its first place in that order:
+    relocations holds one group (size, a, lefts, rights) per segment
+    order[a:a + size] of 1-3 vertices, by size, then a. Each b in lefts,
+    then each b in rights, ascending, moves the segment so that it starts
+    at position b: a left move rewrites order[b:a + size] to the segment
+    followed by order[b:a], a right move rewrites order[a:b + size] to
+    order[a + size:b + size] followed by the segment. windows then lists
+    swaps of two vertices and then 2-opt reversals as (first, end,
+    positions): the move rewrites order[first:end] to [order[p] for p in
+    positions]. Each distinct move is listed once, at its first place in
+    that order:
     - a segment of s vertices moves left past more than s vertices, or
       right past at least s; a shorter move is the relocation, listed
       earlier, of the vertices it jumps;
     - swapped vertices are not adjacent, since that swap is a relocation;
     - a reversal spans four or more vertices, since reversing three swaps
       the ends.
-    Each table is built once per n and kept for the life of the process:
-    281 moves at n = 11, 14,529 (about 4 MB) at n = 63.
+    Each table is built once per n and kept for the life of the process;
+    a relocation group is two ranges, not a tuple per move, so at n = 63
+    the table holds 186 groups and 3,721 windows.
     """
-    moves = []
+    relocations = []
     for size in (1, 2, 3):
         for a in range(n - size + 1):
-            seg = tuple(range(a, a + size))
-            for b in range(a - size):
-                moves.append((b, a + size, (*seg, *range(b, a))))
-            for b in range(a + size, n - size + 1):
-                moves.append((a, b + size, (*range(a + size, b + size), *seg)))
+            lefts, rights = range(a - size), range(a + size, n - size + 1)
+            if lefts or rights:
+                relocations.append((size, a, lefts, rights))
+    windows = []
     for a in range(n - 2):
         for b in range(a + 2, n):
-            moves.append((a, b + 1, (b, *range(a + 1, b), a)))
+            windows.append((a, b + 1, (b, *range(a + 1, b), a)))
     for a in range(n - 3):
         for b in range(a + 3, n):
-            moves.append((a, b + 1, tuple(range(b, a - 1, -1))))
-    return tuple(moves)
+            windows.append((a, b + 1, tuple(range(b, a - 1, -1))))
+    return tuple(relocations), tuple(windows)
+
+
+def _first_improving_move(
+    order, masks, dark, pre, legs, travel, cols, wcount, table, deadline
+):
+    """The first move of table that lowers the objective, as (first, end,
+    window) to write over order[first:end], or None when none does or
+    when time.perf_counter() passes deadline, read before every move.
+
+    A move improves iff its window and the exit leg out of it cost less
+    than pre[end + 1]: the prefix before the window is kept, and the legs
+    after the exit leg cost what they did (the same vertices are repaired
+    by then). For a relocation group, with segbits the segment's mask:
+    - left moves: the legs into order[b + 1:a] keep their length and are
+      driven with the segment repaired, at dark count
+      wcount(masks[p] | segbits). One pass over p < a gives every b the
+      cost of that block as a suffix sum, and the exit leg, out of
+      order[a - 1], is the same for every b;
+    - right moves: the block order[a + size:b + size] keeps its inner legs,
+      driven at wcount(masks[p] ^ segbits). The block sum is carried from
+      b to b + 1, gaining one leg, and that leg's dark count is the one the
+      leg into the segment at b already looked up.
+    Either way a move then adds only the segment's legs and its exit leg,
+    and the segment's inner legs are looked up only when the rest does not
+    already reach the limit. A swap or reversal is charged its exit leg
+    first, then scored leg by leg until the sum reaches the limit.
+    """
+    relocations, windows = table
+    for size, a, lefts, rights in relocations:
+        end = a + size
+        seg = order[a:end]
+        head, tail = seg[0], seg[-1]
+        base = masks[a]
+        segbits = masks[end] ^ base
+        to_head, from_tail = cols[head], travel[tail]
+        # The segment's inner legs: the part of it repaired before, length.
+        inner = [(masks[a + i] ^ base, travel[seg[i - 1]][seg[i]])
+                 for i in range(1, size)]
+        if lefts:
+            limit = pre[end + 1] - dark[end] * travel[order[a - 1]][order[end]]
+            # lit[p]: the dark count at order[p] with the segment repaired;
+            # after[p]: the legs into order[p + 1:a] driven at those counts.
+            lit = [0] * a
+            after = [0] * a
+            acc = 0
+            for p in range(a - 1, -1, -1):
+                after[p] = acc
+                lit[p] = d = wcount(masks[p] | segbits)
+                acc += d * legs[p]
+            for b in lefts:
+                if deadline is not None and time.perf_counter() > deadline:
+                    return None
+                cost = (pre[b] + dark[b] * to_head[order[b - 1]]
+                        + lit[b] * from_tail[order[b]] + after[b])
+                if cost < limit:
+                    mask = masks[b]
+                    for bits, leg in inner:
+                        cost += wcount(mask | bits) * leg
+                    if cost < limit:
+                        return b, end, [*seg, *order[b:a]]
+        if rights:
+            # The block order[end:j] with j = b + size, driven first.
+            block = pre[a] + dark[a] * travel[order[a - 1]][order[end]]
+            for p in range(end + 1, end + size):
+                block += wcount(masks[p] ^ segbits) * legs[p]
+            for j in range(rights.start + size, rights.stop + size):
+                if deadline is not None and time.perf_counter() > deadline:
+                    return None
+                mask = masks[j] ^ segbits
+                d = wcount(mask)
+                cost = block + d * to_head[order[j - 1]] + dark[j] * from_tail[order[j]]
+                limit = pre[j + 1]
+                if cost < limit:
+                    for bits, leg in inner:
+                        cost += wcount(mask | bits) * leg
+                    if cost < limit:
+                        return a, j, [*order[end:j], *seg]
+                block += d * legs[j]
+    for first, end, positions in windows:
+        if deadline is not None and time.perf_counter() > deadline:
+            return None
+        limit = pre[end + 1]
+        prev = order[first - 1]
+        cost = pre[first] + dark[end] * travel[order[positions[-1]]][order[end]]
+        mask = masks[first]
+        for p in positions:
+            v = order[p]
+            cost += wcount(mask) * travel[prev][v]
+            if cost >= limit:
+                break
+            mask |= 1 << (v - 1)
+            prev = v
+        else:
+            return first, end, [order[p] for p in positions]
+    return None
 
 
 def descent(
@@ -125,58 +230,57 @@ def descent(
 
     The first move that lowers the leg-sum objective is taken and the scan
     starts over; a scan with no such move ends the descent at a local
-    optimum. A move is scored in place from the first position it
-    changes, reading order[p] for each of its positions; a window list is
-    built only for the move taken. The prefix before the window is kept,
-    and the legs after the one out of it cost what they did (the same
-    vertices are repaired by then), so the move improves iff its window
-    and that exit leg cost less than pre[end + 1], what the prefix, the
-    window and the exit leg cost now; scoring stops once the partial sum
-    reaches it. The order ends in a depot sentinel, order[n] = 0, with
+    optimum. Each scan rebuilds, per position p, the mask repaired before
+    order[p], its dark count, the leg into order[p] and pre[p], the cost
+    of the legs before it. _first_improving_move scores the moves against
+    them, a relocation group's blocks from running sums, and builds a
+    window list only for the move taken. Every move's cost is exact, so
+    the scan takes the same moves in the same order as scoring each whole
+    tour would. The order ends in a depot sentinel, order[n] = 0, with
     dark[n] = 0 and pre[n + 1] = pre[n], so a window at the start leaves
-    the depot and one at the end adds no exit leg. When time.perf_counter()
+    the depot and one at the end adds no exit leg. Each move taken must
+    lower pre[n], or RuntimeError is raised. When time.perf_counter()
     passes deadline, checked before every move, the best order so far is
     returned; a deadline already past returns the start.
+
+    Raises ValueError, before any move, when start is not a permutation
+    of 1..n or the instance still has repair durations.
     """
-    check_partial(instance.n, start)
+    n = instance.n
+    if sorted(start) != list(range(1, n + 1)):
+        raise ValueError(f"start is not a permutation of 1..{n}: {tuple(start)}")
+    if any(instance.repair_duration):
+        raise ValueError("repair durations must be absorbed before the descent")
     travel = instance.travel
     wcount = make_disrupted_counter(index)
-    n = len(start)
-    moves = _move_table(n)
+    table = _move_table(n)
     order = [*start, 0]
-    # Per position p: the mask repaired before order[p], its dark count,
-    # and the cost of the legs before it (pre[n] is the objective).
     masks = [0] * (n + 1)
     dark = [0] * (n + 1)
     pre = [0] * (n + 2)
-    improved = True
-    while improved:
-        improved = False
+    legs = [0] * (n + 1)
+    cols = list(zip(*travel))
+    objective = None
+    while True:
         prev = 0
         for p in range(n):
             v = order[p]
             dark[p] = wcount(masks[p])
-            pre[p + 1] = pre[p] + dark[p] * travel[prev][v]
+            legs[p] = travel[prev][v]
+            pre[p + 1] = pre[p] + dark[p] * legs[p]
             masks[p + 1] = masks[p] | (1 << (v - 1))
             prev = v
         pre[n + 1] = pre[n]
-        for first, end, positions in moves:
-            if deadline is not None and time.perf_counter() > deadline:
-                return evaluate_route(instance, index, order[:n])
-            limit = pre[end + 1]
-            cost = pre[first]
-            prev = order[first - 1]
-            mask = masks[first]
-            for p in positions:
-                v = order[p]
-                cost += wcount(mask) * travel[prev][v]
-                if cost >= limit:
-                    break
-                mask |= 1 << (v - 1)
-                prev = v
-            else:
-                if cost + dark[end] * travel[prev][order[end]] < limit:
-                    order[first:end] = [order[p] for p in positions]
-                    improved = True
-                    break
-    return evaluate_route(instance, index, order[:n])
+        if objective is not None and pre[n] >= objective:
+            raise RuntimeError(
+                "internal error: a descent move scored as improving took the "
+                f"objective from {objective} to {pre[n]}"
+            )
+        objective = pre[n]
+        move = _first_improving_move(
+            order, masks, dark, pre, legs, travel, cols, wcount, table, deadline
+        )
+        if move is None:
+            return evaluate_route(instance, index, order[:n])
+        first, end, window = move
+        order[first:end] = window

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,22 @@ from prtrp import heuristics
 from prtrp.heuristics import descent, greedy_incumbent
 
 from helpers import plain_moves, reference_descent
+
+
+def table_moves(n):
+    """Every move of heuristics._move_table(n) in its scan order, as
+    (first, end, window): the window it writes over order[first:end] when
+    order is 1..n."""
+    order = list(range(1, n + 1))
+    relocations, windows = heuristics._move_table(n)
+    for size, a, lefts, rights in relocations:
+        seg = order[a:a + size]
+        for b in lefts:
+            yield b, a + size, tuple(seg + order[b:a])
+        for b in rights:
+            yield a, b + size, tuple(order[a + size:b + size] + seg)
+    for first, end, positions in windows:
+        yield first, end, tuple(order[p] for p in positions)
 
 
 class TestGreedyDistance:
@@ -182,22 +199,55 @@ class TestDescent:
         # A deadline already past returns the start.
         assert run(0) == start
 
+    def test_rejects_a_bad_start_before_any_move(self, star, monkeypatch):
+        from prtrp import Instance
+
+        def no_work(index):
+            raise AssertionError("the descent started work on a bad start")
+
+        monkeypatch.setattr(heuristics, "make_disrupted_counter", no_work)
+        inst = generate_random(6, seed=1)
+        index = build_index(inst)
+        for start in [(1, 2, 3), (1, 2, 3, 4, 5, 6, 7), (1, 1, 2, 3, 4, 5),
+                      (0, 1, 2, 3, 4, 5), (2, 3, 4, 5, 6, 7)]:
+            with pytest.raises(ValueError) as err:
+                descent(inst, index, start)
+            assert str(err.value) == \
+                f"start is not a permutation of 1..6: {start}", start
+        withp = Instance(
+            name="p", n=3, travel=star.travel,
+            power_parent=dict(star.power_parent), source=1,
+            repair_duration=(1, 0, 0),
+        )
+        with pytest.raises(ValueError, match="repair durations must be absorbed"):
+            descent(withp, build_index(withp), (1, 2, 3))
+
+    def test_a_move_that_does_not_lower_the_objective_raises(self, monkeypatch):
+        inst = generate_random(8, seed=1)
+        index = build_index(inst)
+        start = greedy_distance(inst, index).order
+
+        def rewrite_first_vertex(order, *rest):
+            return 0, 1, [order[0]]
+
+        monkeypatch.setattr(heuristics, "_first_improving_move", rewrite_first_vertex)
+        with pytest.raises(RuntimeError, match="internal error"):
+            descent(inst, index, start)
+
 
 class TestMoves:
     def test_each_move_once_at_its_first_place(self):
         for n in range(1, 31):
             order = list(range(1, n + 1))
             firsts = dict.fromkeys((a, tuple(w)) for a, w in plain_moves(order))
-            # Render each table entry as the window it writes over order.
-            moves = [(first, tuple(order[p] for p in positions))
-                     for first, _, positions in heuristics._move_table(n)]
+            moves = [(first, window) for first, _, window in table_moves(n)]
             assert moves == list(firsts), n
 
     def test_each_move_permutes_its_window(self):
         for n in range(1, 31):
-            for first, end, positions in heuristics._move_table(n):
+            for first, end, window in table_moves(n):
                 assert 0 <= first < end <= n, (n, first, end)
-                assert sorted(positions) == list(range(first, end)), (n, first)
+                assert sorted(window) == list(range(first + 1, end + 1)), (n, first)
 
     def test_descent_matches_the_reference_over_every_move(self):
         rng = random.Random(2012)
@@ -210,6 +260,34 @@ class TestMoves:
             start = rng.sample(range(1, n + 1), n)
             route = descent(inst, build_index(inst), start)
             assert route.order == reference_descent(inst, start), k
+
+    def test_descent_matches_the_reference_at_n_13_to_20(self):
+        rng = random.Random(2013)
+        for n in range(13, 21):
+            base = generate_random(n, seed=1700 + n)
+            for inst in (base, generate_star_reduction(base.travel)):
+                index = build_index(inst)
+                starts = [
+                    greedy_distance(inst, index).order,
+                    greedy_priority_distance(inst, index).order,
+                    tuple(rng.sample(range(1, n + 1), n)),
+                ]
+                for start in starts:
+                    route = descent(inst, index, start)
+                    assert route.order == reference_descent(inst, start), \
+                        (n, inst.name, start)
+
+    def test_descent_matches_the_reference_from_every_start(self):
+        # Every start at n <= 6 puts segments of 2-3 vertices against both
+        # ends of the tour.
+        for n in range(1, 7):
+            base = generate_random(n, seed=1800 + n)
+            for inst in (base, generate_star_reduction(base.travel)):
+                index = build_index(inst)
+                for start in itertools.permutations(range(1, n + 1)):
+                    route = descent(inst, index, start)
+                    assert route.order == reference_descent(inst, start), \
+                        (n, inst.name, start)
 
 
 class TestDeterminism:
