@@ -33,7 +33,7 @@ from .power_eval import (
     build_index,
     disrupted_count,
     evaluate_route,
-    make_disrupted_counter,
+    make_newly_lit,
 )
 
 __all__ = [
@@ -66,8 +66,8 @@ __all__ = [
     "greedy_distance",
     "greedy_priority_distance",
     "held_karp_forward",
-    "make_disrupted_counter",
     "make_instance",
+    "make_newly_lit",
     "position_lower_bound",
     "solve",
     "validate",

@@ -6,9 +6,12 @@ outgoing side takes all n levels: the return-path bound is too weak to hold
 a deep backward frontier down (at n=16 it built 3-27 times as many labels
 as the outgoing side), and the one return leg that is left, from the last
 vertex into the depot, costs nothing because every vertex is then repaired.
-A label is keyed by its configuration (visited mask, endpoint); within one
-level only the best value per configuration survives, since any completion
-of one path completes every path sharing its configuration.
+A label is the tuple (value, mask, endpoint, parent, w), keyed by its
+configuration (visited mask, endpoint); within one level only the best
+value per configuration survives, since any completion of one path
+completes every path sharing its configuration. The dark count w is
+carried: n at the depot, and a child ending at v has its parent's w minus
+newly_lit(v, mask) of power_eval.make_newly_lit.
 
 New labels are screened by the walk-relaxation bound of bounds.WalkTable
 against the incumbent upper bound ub: the better of two local-search
@@ -46,11 +49,12 @@ accounts for all n - k candidates of every parent.
 
 The refresh completes each of the best labels nearest-first, the rule of
 heuristics.greedy_complete, and scores the completion on the leg sum from
-the label's value, mask and endpoint, dropping it once it reaches the
-level's best. Only the level's winner is built by greedy_complete, whose
-evaluate_route objective must equal the score; it replaces the incumbent
-when strictly better. Labels are ranked as tuples (value, mask, endpoint),
-so a value tie never falls to the order candidates were generated in.
+the label's value, mask, endpoint and w, stepping w leg by leg, and
+drops it once it reaches the level's best. Only the level's winner is
+built by greedy_complete, whose evaluate_route objective must equal the
+score; it replaces the incumbent when strictly better. Labels are ranked
+as tuples (value, mask, endpoint), so a value tie never falls to the order
+candidates were generated in.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -79,7 +83,7 @@ from .power_eval import (
     PrecedenceIndex,
     build_index,
     evaluate_route,
-    make_disrupted_counter,
+    make_newly_lit,
 )
 
 EXACT = "exact"
@@ -92,10 +96,10 @@ UB_REFRESH_WIDTH = 32
 # hold the endpoint, so 63 fault vertices is the hard ceiling.
 ENGINE_VERTEX_LIMIT = 63
 
-# A label is (value, visited_mask, endpoint, parent_label); the endpoint is
-# the last vertex reached.
-Label = Tuple[int, int, int, Optional[tuple]]
-_DEPOT_LABEL: Label = (0, 0, 0, None)
+# A label is (value, visited_mask, endpoint, parent_label, w): the last
+# vertex reached, and w dark vertices. w follows the parent, so it never
+# decides a comparison (equal masks have equal counts).
+Label = Tuple[int, int, int, Optional[tuple], int]
 
 # Columns of stats["levels"] the forward search never counts. They keep the
 # paper's position-threshold and backward counters because perfbench/run.py
@@ -221,7 +225,7 @@ def solve(
 
     travel = instance.travel
     full = (1 << n) - 1
-    wcount = make_disrupted_counter(index)
+    newly_lit = make_newly_lit(index)
 
     # The incumbent: a descent from each greedy tour, the better one
     # (objective, then order) kept.
@@ -254,7 +258,7 @@ def solve(
     # Labels are keyed by configuration, so a new label meets the one it
     # dominates or loses to. With dominance off every label gets its own
     # key, the running count of labels created in its level.
-    frontier: Dict[int, Label] = {0: _DEPOT_LABEL}
+    frontier: Dict[int, Label] = {0: (0, 0, 0, None, n)}
 
     labels_cap = cfg.labels_cap
 
@@ -295,13 +299,12 @@ def solve(
             if limit_reached(labels_total + created):
                 break
             expanded += 1
-            value, mask, endpoint, _ = lab
+            value, mask, endpoint, _, w = lab
             # While the source is dark, so is every vertex.
-            dark = mask & src_bit == 0
-            w = n if dark else wcount(mask)
+            source_dark = mask & src_bit == 0
             # A leg longer than reach fails the bound test on the floor
             # alone, and the list runs nearest first.
-            reach = (cut - value - (g_floor if dark else h_floor)) // w
+            reach = (cut - value - (g_floor if source_dark else h_floor)) // w
             for d, v, low in nearest[endpoint]:
                 if d > reach:
                     break
@@ -309,20 +312,23 @@ def solve(
                     continue
                 new_mask = mask | low
                 new_value = value + w * d
-                if dark and low != src_bit:
+                if source_dark and low != src_bit:
                     bound = new_value + g_r[v]
+                    new_w = w
                 else:
-                    # The dark count is looked up only when the w >= r
-                    # floor does not prune already.
+                    # The dark count is carried only when the w >= r floor
+                    # does not prune already.
                     bound = new_value + h_r[v]
-                    if bound <= cut:
-                        bound += (wcount(new_mask) - r) * minout[v]
+                    if bound > cut:
+                        continue
+                    new_w = w - newly_lit(v, new_mask)
+                    bound += (new_w - r) * minout[v]
                 if bound > cut:
                     continue
                 key = (new_mask << 6) | v if dominance else created
                 old = nxt.get(key)
                 if old is None:
-                    nxt[key] = (new_value, new_mask, v, lab)
+                    nxt[key] = (new_value, new_mask, v, lab, new_w)
                     created += 1
                     continue
                 # Both end at v, so on a value tie the parents' orders
@@ -332,7 +338,7 @@ def solve(
                     new_value == old[0]
                     and _forward_order(lab) < _forward_order(old[3])
                 ):
-                    nxt[key] = (new_value, new_mask, v, lab)
+                    nxt[key] = (new_value, new_mask, v, lab, new_w)
         frontier = nxt
         # Each parent has n - level candidates; those not built or
         # dominated failed the bound test, the skipped ones included.
@@ -363,13 +369,14 @@ def solve(
         # it reaches the level's best.
         best_cost, winner = math.inf, None
         for lab in heapq.nsmallest(UB_REFRESH_WIDTH, frontier.values()):
-            cost, mask, cur, _ = lab
+            cost, mask, cur, _, w = lab
             while mask != full and cost < best_cost:
                 for d, v, low in nearest[cur]:
                     if not mask & low:
                         break
-                cost += wcount(mask) * d
+                cost += w * d
                 mask |= low
+                w -= newly_lit(v, mask)
                 cur = v
             if cost < best_cost:
                 best_cost, winner = cost, lab

@@ -16,7 +16,7 @@ from .power_eval import (
     PrecedenceIndex,
     check_partial,
     evaluate_route,
-    make_disrupted_counter,
+    make_newly_lit,
 )
 
 
@@ -125,7 +125,7 @@ def _move_table(n: int) -> Tuple[
 
 
 def _first_improving_move(
-    order, masks, dark, pre, legs, travel, cols, wcount, table, deadline
+    order, masks, dark, pre, legs, travel, cols, newly_lit, table, deadline
 ):
     """The first move of table that lowers the objective, as (first, end,
     window) to write over order[first:end], or None when none does or
@@ -134,32 +134,33 @@ def _first_improving_move(
     A move improves iff its window and the exit leg out of it cost less
     than pre[end + 1]: the prefix before the window is kept, and the legs
     after the exit leg cost what they did (the same vertices are repaired
-    by then). For a relocation group, with segbits the segment's mask:
+    by then). Each dark count is stepped from a known one by newly_lit.
+    For a relocation group, with segbits the segment's mask:
     - left moves: the legs into order[b + 1:a] keep their length and are
-      driven with the segment repaired, at dark count
-      wcount(masks[p] | segbits). One pass over p < a gives every b the
-      cost of that block as a suffix sum, and the exit leg, out of
-      order[a - 1], is the same for every b;
+      driven with the segment repaired, at lit[p], the count of
+      masks[p] | segbits, stepped down from lit[a] = dark[end]. One pass
+      over p < a gives every b the cost of that block as a suffix sum, and
+      the exit leg, out of order[a - 1], is the same for every b;
     - right moves: the block order[a + size:b + size] keeps its inner legs,
-      driven at wcount(masks[p] ^ segbits). The block sum is carried from
-      b to b + 1, gaining one leg, and that leg's dark count is the one the
-      leg into the segment at b already looked up.
-    Either way a move then adds only the segment's legs and its exit leg,
-    and the segment's inner legs are looked up only when the rest does not
-    already reach the limit. A swap or reversal is charged its exit leg
-    first, then scored leg by leg until the sum reaches the limit.
+      driven at the count of masks[p] ^ segbits, stepped up from dark[a].
+      The block sum is carried from b to b + 1, gaining one leg driven at
+      the count the leg into the segment at b used.
+    Either way a move then adds only the segment's legs, stepped from
+    dark[b] or the block's count, and its exit leg; the inner legs are
+    scored only when the rest does not already reach the limit. A swap or
+    reversal is charged its exit leg first, then scored leg by leg from
+    dark[first] until the sum reaches the limit.
     """
     relocations, windows = table
     for size, a, lefts, rights in relocations:
         end = a + size
         seg = order[a:end]
         head, tail = seg[0], seg[-1]
-        base = masks[a]
-        segbits = masks[end] ^ base
+        segbits = masks[end] ^ masks[a]
         to_head, from_tail = cols[head], travel[tail]
-        # The segment's inner legs: the part of it repaired before, length.
-        inner = [(masks[a + i] ^ base, travel[seg[i - 1]][seg[i]])
-                 for i in range(1, size)]
+        # The segment's inner legs: the vertex before, its bit, length.
+        inner = [(u, 1 << (u - 1), travel[u][seg[i]])
+                 for i, u in enumerate(seg[:-1], 1)]
         if lefts:
             limit = pre[end + 1] - dark[end] * travel[order[a - 1]][order[end]]
             # lit[p]: the dark count at order[p] with the segment repaired;
@@ -167,9 +168,10 @@ def _first_improving_move(
             lit = [0] * a
             after = [0] * a
             acc = 0
+            d = dark[end]
             for p in range(a - 1, -1, -1):
                 after[p] = acc
-                lit[p] = d = wcount(masks[p] | segbits)
+                lit[p] = d = d + newly_lit(order[p], masks[p + 1] | segbits)
                 acc += d * legs[p]
             for b in lefts:
                 if deadline is not None and time.perf_counter() > deadline:
@@ -177,26 +179,33 @@ def _first_improving_move(
                 cost = (pre[b] + dark[b] * to_head[order[b - 1]]
                         + lit[b] * from_tail[order[b]] + after[b])
                 if cost < limit:
-                    mask = masks[b]
-                    for bits, leg in inner:
-                        cost += wcount(mask | bits) * leg
+                    mask, d = masks[b], dark[b]
+                    for u, bit, leg in inner:
+                        mask |= bit
+                        d -= newly_lit(u, mask)
+                        cost += d * leg
                     if cost < limit:
                         return b, end, [*seg, *order[b:a]]
         if rights:
             # The block order[end:j] with j = b + size, driven first.
             block = pre[a] + dark[a] * travel[order[a - 1]][order[end]]
+            d = dark[a]
             for p in range(end + 1, end + size):
-                block += wcount(masks[p] ^ segbits) * legs[p]
+                d -= newly_lit(order[p - 1], masks[p] ^ segbits)
+                block += d * legs[p]
             for j in range(rights.start + size, rights.stop + size):
                 if deadline is not None and time.perf_counter() > deadline:
                     return None
                 mask = masks[j] ^ segbits
-                d = wcount(mask)
+                d -= newly_lit(order[j - 1], mask)
                 cost = block + d * to_head[order[j - 1]] + dark[j] * from_tail[order[j]]
                 limit = pre[j + 1]
                 if cost < limit:
-                    for bits, leg in inner:
-                        cost += wcount(mask | bits) * leg
+                    c = d
+                    for u, bit, leg in inner:
+                        mask |= bit
+                        c -= newly_lit(u, mask)
+                        cost += c * leg
                     if cost < limit:
                         return a, j, [*order[end:j], *seg]
                 block += d * legs[j]
@@ -206,13 +215,14 @@ def _first_improving_move(
         limit = pre[end + 1]
         prev = order[first - 1]
         cost = pre[first] + dark[end] * travel[order[positions[-1]]][order[end]]
-        mask = masks[first]
+        mask, d = masks[first], dark[first]
         for p in positions:
             v = order[p]
-            cost += wcount(mask) * travel[prev][v]
+            cost += d * travel[prev][v]
             if cost >= limit:
                 break
             mask |= 1 << (v - 1)
+            d -= newly_lit(v, mask)
             prev = v
         else:
             return first, end, [order[p] for p in positions]
@@ -231,15 +241,16 @@ def descent(
     The first move that lowers the leg-sum objective is taken and the scan
     starts over; a scan with no such move ends the descent at a local
     optimum. Each scan rebuilds, per position p, the mask repaired before
-    order[p], its dark count, the leg into order[p] and pre[p], the cost
-    of the legs before it. _first_improving_move scores the moves against
-    them, a relocation group's blocks from running sums, and builds a
-    window list only for the move taken. Every move's cost is exact, so
-    the scan takes the same moves in the same order as scoring each whole
-    tour would. The order ends in a depot sentinel, order[n] = 0, with
-    dark[n] = 0 and pre[n + 1] = pre[n], so a window at the start leaves
-    the depot and one at the end adds no exit leg. Each move taken must
-    lower pre[n], or RuntimeError is raised. When time.perf_counter()
+    order[p], its dark count (stepped from dark[0] = n by newly_lit), the
+    leg into order[p] and pre[p], the cost of the legs before it.
+    _first_improving_move scores the moves against them, a relocation
+    group's blocks from running sums, and builds a window list only for the
+    move taken. Every move's cost is exact, so the scan takes the same
+    moves in the same order as scoring each whole tour would. The order
+    ends in a depot sentinel, order[n] = 0, with dark[n] = 0 and pre[n + 1]
+    = pre[n], so a window at the start leaves the depot and one at the end
+    adds no exit leg. Each move taken must lower pre[n], or RuntimeError is
+    raised. When time.perf_counter()
     passes deadline, checked before every move, the best order so far is
     returned; a deadline already past returns the start.
 
@@ -252,7 +263,7 @@ def descent(
     if any(instance.repair_duration):
         raise ValueError("repair durations must be absorbed before the descent")
     travel = instance.travel
-    wcount = make_disrupted_counter(index)
+    newly_lit = make_newly_lit(index)
     table = _move_table(n)
     order = [*start, 0]
     masks = [0] * (n + 1)
@@ -262,13 +273,14 @@ def descent(
     cols = list(zip(*travel))
     objective = None
     while True:
-        prev = 0
+        prev, d = 0, n
         for p in range(n):
             v = order[p]
-            dark[p] = wcount(masks[p])
+            dark[p] = d
             legs[p] = travel[prev][v]
-            pre[p + 1] = pre[p] + dark[p] * legs[p]
-            masks[p + 1] = masks[p] | (1 << (v - 1))
+            pre[p + 1] = pre[p] + d * legs[p]
+            masks[p + 1] = mask = masks[p] | (1 << (v - 1))
+            d -= newly_lit(v, mask)
             prev = v
         pre[n + 1] = pre[n]
         if objective is not None and pre[n] >= objective:
@@ -278,7 +290,7 @@ def descent(
             )
         objective = pre[n]
         move = _first_improving_move(
-            order, masks, dark, pre, legs, travel, cols, wcount, table, deadline
+            order, masks, dark, pre, legs, travel, cols, newly_lit, table, deadline
         )
         if move is None:
             return evaluate_route(instance, index, order[:n])

@@ -7,7 +7,6 @@ solver hot loops compare and hash sets as single integers. Supports up to
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence, Tuple
 
@@ -84,13 +83,35 @@ def disrupted_count(index: PrecedenceIndex, repaired: int) -> int:
     return dark
 
 
-def make_disrupted_counter(index: PrecedenceIndex) -> Callable[[int], int]:
-    """disrupted_count of this index, memoized by functools.cache.
+def make_newly_lit(index: PrecedenceIndex) -> Callable[[int, int], int]:
+    """newly_lit(v, mask): how many vertices repairing v energizes when
+    mask, holding v, is the repaired set after it; that is,
+    disrupted_count(mask ^ bit(v)) - disrupted_count(mask).
 
-    Each counter owns its memo, so its memory lives as long as the counter.
-    Values never depend on what was cached before.
+    Nothing lights unless v's ancestor set is in mask; then v does, and so
+    does each other successor of v whose ancestor set is in mask, at
+    O(|successors of v|). The tables are built here, not in build_index,
+    so an index that never counts pays nothing for them.
     """
-    return functools.cache(functools.partial(disrupted_count, index))
+    ancestors = index.ancestors
+    # Per vertex v, at table[v]: v's ancestor set and those of the rest of
+    # its successors.
+    table = [(0, ())] + [
+        (ancestors[v - 1], tuple(ancestors[u - 1] for u in succ if u != v))
+        for v, succ in enumerate(index.successors, 1)
+    ]
+
+    def newly_lit(v: int, mask: int) -> int:
+        a, below = table[v]
+        if a & mask != a:
+            return 0
+        lit = 1
+        for b in below:
+            if b & mask == b:
+                lit += 1
+        return lit
+
+    return newly_lit
 
 
 def check_partial(n: int, order: Sequence[int]) -> None:

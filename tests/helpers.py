@@ -44,9 +44,13 @@ def sim_objective_with_durations(instance, order: Sequence[int]) -> int:
     return sum(max(done[a] for a in anc[v]) for v in anc)
 
 
-def leg_sum_objective(instance, order: Sequence[int]) -> int:
-    """Total disruption as sum over legs of (dark vertices) * (leg time)."""
-    anc = ancestor_sets(instance)
+def leg_sum_objective(instance, order: Sequence[int], anc=None) -> int:
+    """Total disruption as sum over legs of (dark vertices) * (leg time).
+
+    anc, the instance's ancestor_sets, is built here when not passed.
+    """
+    if anc is None:
+        anc = ancestor_sets(instance)
     repaired = set()
     total = 0
     prev = 0
@@ -190,14 +194,15 @@ def plain_moves(order: Sequence[int]):
 def reference_descent(instance, start: Sequence[int]) -> Tuple[int, ...]:
     """First-improvement descent over plain_moves, scored by leg_sum_objective:
     take the first move that lowers the objective and rescan, until none does."""
+    anc = ancestor_sets(instance)
     order = list(start)
-    value = leg_sum_objective(instance, order)
+    value = leg_sum_objective(instance, order, anc)
     improved = True
     while improved:
         improved = False
         for first, window in plain_moves(order):
             moved = order[:first] + window + order[first + len(window):]
-            moved_value = leg_sum_objective(instance, moved)
+            moved_value = leg_sum_objective(instance, moved, anc)
             if moved_value < value:
                 order, value, improved = moved, moved_value, True
                 break

@@ -8,6 +8,7 @@ from prtrp import (
     SolverConfig,
     brute_force,
     build_index,
+    disrupted_count,
     evaluate_route,
     generate_random,
     generate_star_reduction,
@@ -28,24 +29,26 @@ from helpers import (
 
 @pytest.fixture
 def expansions(monkeypatch):
-    """Counts the solver's disrupted-count calls under the key "calls": one
-    per parent label once the source is repaired, one per candidate that
-    passes the first bound test, and one per leg the incumbent refresh
-    scores. A patched clock can read it to pick its moment."""
-    counter = {"calls": 0}
-    real_counter = bidp.make_disrupted_counter
+    """Records the solver's newly_lit calls, in order, under the key
+    "sizes": the number of vertices in each call's mask. A candidate that
+    passes the first bound test with the source repaired makes one call,
+    its mask holding as many vertices as its level; each leg the incumbent
+    refresh scores makes one, its mask holding what is repaired by the
+    leg's end. A patched clock can read len(sizes) to pick its moment."""
+    record = {"sizes": []}
+    real_factory = bidp.make_newly_lit
 
-    def counting_counter(index):
-        count = real_counter(index)
+    def counting_factory(index):
+        newly_lit = real_factory(index)
 
-        def counted(mask):
-            counter["calls"] += 1
-            return count(mask)
+        def counted(v, mask):
+            record["sizes"].append(bin(mask).count("1"))
+            return newly_lit(v, mask)
 
         return counted
 
-    monkeypatch.setattr(bidp, "make_disrupted_counter", counting_counter)
-    return counter
+    monkeypatch.setattr(bidp, "make_newly_lit", counting_factory)
+    return record
 
 
 class TestSolverConfig:
@@ -119,6 +122,32 @@ class TestSolveExact:
                 repaired.add(vertex)
                 rest = rest - {vertex}
                 prev = vertex
+
+    def test_every_label_carries_its_dark_count(self, star, monkeypatch):
+        # Each level's labels pass through the refresh's nsmallest; every
+        # label there, and every parent up its chain, must carry the dark
+        # count of its mask.
+        seen = []
+        real_nsmallest = bidp.heapq.nsmallest
+
+        def recording_nsmallest(k, labels):
+            labels = list(labels)
+            seen.extend(labels)
+            return real_nsmallest(k, labels)
+
+        monkeypatch.setattr(bidp.heapq, "nsmallest", recording_nsmallest)
+        base = generate_random(9, seed=5)
+        for inst in (star, base, generate_star_reduction(base.travel)):
+            index = build_index(inst)
+            seen.clear()
+            for config in (SolverConfig(),
+                           SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.01)):
+                solve(inst, config, index)
+            assert seen, inst.name
+            for lab in seen:
+                while lab is not None:
+                    assert lab[4] == disrupted_count(index, lab[1]), lab[:3]
+                    lab = lab[3]
 
     def test_rejects_unabsorbed_durations(self, star):
         from prtrp import Instance
@@ -265,36 +294,60 @@ class TestSolveVariants:
     def test_time_limit_stops_inside_a_level(self, monkeypatch, expansions):
         inst = generate_random(14, seed=2700)
         full = solve(inst).stats["levels"]
-        # The clock jumps past the deadline halfway through the label
-        # expansions, which falls inside one of the large middle levels.
-        flip_at, expansions["calls"] = expansions["calls"] // 2, 0
+        # The clock jumps past the deadline at the middle call made at the
+        # size of the largest level. The refresh scores at most 32 legs of
+        # that size after each earlier level, far fewer than the level's
+        # candidates, so the jump falls inside that level.
+        peak = max(full, key=lambda st: st["fwd_created"])["level"]
+        sizes = expansions["sizes"]
+        at_peak = [i for i, size in enumerate(sizes) if size == peak]
+        flip_at = at_peak[len(at_peak) // 2]
+        sizes.clear()
         with monkeypatch.context() as m:
             m.setattr(bidp.time, "perf_counter",
-                      lambda: 1e9 if expansions["calls"] >= flip_at else 0.0)
+                      lambda: 1e9 if len(sizes) > flip_at else 0.0)
             report = solve(inst, SolverConfig(mode=HEURISTIC, time_limit=1.0))
         levels = report.stats["levels"]
         assert report.stats["time_limit_reached"]
         assert not report.proven_optimal
+        assert len(levels) == peak
         stopped = levels[-1]
-        assert 0 < stopped["fwd_created"] < full[len(levels) - 1]["fwd_created"]
+        assert 0 < stopped["fwd_created"] < full[peak - 1]["fwd_created"]
         index = build_index(inst)
         assert evaluate_route(inst, index, report.route.order).objective == \
             report.objective
 
     @pytest.mark.parametrize("mode", [EXACT, HEURISTIC])
     def test_deadline_after_the_last_level_keeps_the_search(
-        self, monkeypatch, expansions, mode
+        self, monkeypatch, mode
     ):
         inst = generate_random(6, seed=3)
         config = SolverConfig(mode=mode, time_limit=10.0)
         full = solve(inst, config)
-        # The clock passes the deadline only once every label of level n
-        # has been built.
-        flip_at, expansions["calls"] = expansions["calls"], 0
+        # Level n expands one parent per label of level n - 1, each after
+        # one clock read, once the refresh after level n - 1 has built its
+        # winner. The clock passes the deadline from the read after the
+        # last of those on: only once every label of level n has been
+        # built.
+        parents = full.stats["levels"][-2]["fwd_created"]
+        clock = {"refreshes": 0, "reads": 0}
+        real_complete = bidp.greedy_complete
+
+        def counted_complete(*args):
+            clock["refreshes"] += 1
+            return real_complete(*args)
+
+        def perf_counter():
+            if clock["refreshes"] < inst.n - 1:
+                return 0.0
+            clock["reads"] += 1
+            return 1e9 if clock["reads"] > parents else 0.0
+
         with monkeypatch.context() as m:
-            m.setattr(bidp.time, "perf_counter",
-                      lambda: 1e9 if expansions["calls"] >= flip_at else 0.0)
+            m.setattr(bidp, "greedy_complete", counted_complete)
+            m.setattr(bidp.time, "perf_counter", perf_counter)
             report = solve(inst, config)
+        assert clock["reads"] > parents
         stats = report.stats
         assert len(stats["levels"]) == inst.n
         assert not stats["time_limit_reached"]

@@ -205,7 +205,7 @@ class TestDescent:
         def no_work(index):
             raise AssertionError("the descent started work on a bad start")
 
-        monkeypatch.setattr(heuristics, "make_disrupted_counter", no_work)
+        monkeypatch.setattr(heuristics, "make_newly_lit", no_work)
         inst = generate_random(6, seed=1)
         index = build_index(inst)
         for start in [(1, 2, 3), (1, 2, 3, 4, 5, 6, 7), (1, 1, 2, 3, 4, 5),

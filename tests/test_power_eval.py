@@ -7,7 +7,8 @@ from prtrp import (
     disrupted_count,
     evaluate_route,
     generate_random,
-    make_disrupted_counter,
+    generate_star_reduction,
+    make_newly_lit,
 )
 
 from helpers import dark_profile, leg_sum_objective, random_orders
@@ -74,12 +75,42 @@ class TestDisruptedCount:
                 big = small | rng.getrandbits(8)
                 assert disrupted_count(index, small) >= disrupted_count(index, big)
 
-    def test_memoized_counter_matches(self, star_index):
-        count = make_disrupted_counter(star_index)
-        for m in range(8):
-            assert count(m) == disrupted_count(star_index, m)
-        # repeated lookups stay correct
-        assert count(mask(1, 2)) == 1
+    def test_newly_lit_is_the_count_difference(self):
+        # Every mask at n <= 8 and every vertex v in it, on uniform and star
+        # trees: newly_lit(v, mask) is what repairing v last lights.
+        for n in range(1, 9):
+            for seed in (1, 2, 3):
+                base = generate_random(n, seed=seed)
+                for inst in (base, generate_star_reduction(base.travel)):
+                    index = build_index(inst)
+                    newly_lit = make_newly_lit(index)
+                    counts = [disrupted_count(index, m) for m in range(1 << n)]
+                    for m in range(1 << n):
+                        for v in range(1, n + 1):
+                            if m & mask(v):
+                                assert newly_lit(v, m) == \
+                                    counts[m ^ mask(v)] - counts[m], (inst.name, m, v)
+
+    def test_newly_lit_at_the_vertex_limit(self):
+        # Seeded masks of every density at n = 63, so deep vertices light
+        # as well as shallow ones.
+        rng = random.Random(63)
+        base = generate_random(63, seed=1)
+        for inst in (base, generate_star_reduction(base.travel)):
+            index = build_index(inst)
+            newly_lit = make_newly_lit(index)
+            lit = 0
+            for _ in range(500):
+                density = rng.random()
+                m = sum(mask(v) for v in range(1, 64) if rng.random() < density)
+                dark = disrupted_count(index, m)
+                for v in range(1, 64):
+                    if m & mask(v):
+                        got = newly_lit(v, m)
+                        assert got == disrupted_count(index, m ^ mask(v)) - dark, \
+                            (inst.name, m, v)
+                        lit += got > 1
+            assert lit, "no vertex lit a successor"
 
 
 class TestEvaluateRoute:
