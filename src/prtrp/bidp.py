@@ -16,8 +16,8 @@ newly_lit(v, mask) of power_eval.make_newly_lit.
 New labels are screened by the walk-relaxation bound of bounds.WalkTable
 against the incumbent upper bound ub: the better of two local-search
 descents (heuristics.descent), one from each greedy tour, at the start,
-then refreshed after each level from the UB_REFRESH_WIDTH (32) best labels
-(see below). A label reaching level k+1 survives when its bound is at most
+then refreshed after each level but the last from the UB_REFRESH_WIDTH (32)
+best labels. A label reaching level k+1 survives when its bound is at most
 (theta + k * delta) times ub. That threshold is one integer cut per level,
 
     cut = (theta_pct + k * delta_pct) * ub // 100
@@ -89,7 +89,7 @@ from .power_eval import (
 EXACT = "exact"
 HEURISTIC = "heuristic"
 
-# Best labels greedily completed after each level to refresh the incumbent.
+# Best labels greedily completed after each level but the last.
 UB_REFRESH_WIDTH = 32
 
 # Masks are machine words with bit v-1 per vertex; 6 low bits of a store key
@@ -128,7 +128,7 @@ class SolverConfig:
     Both are read before every parent label and between levels, never
     after the last one (see solve).
     The incumbent refresh is not a knob: it completes a fixed
-    UB_REFRESH_WIDTH (32) best labels after each level.
+    UB_REFRESH_WIDTH (32) best labels after each level but the last.
     """
 
     mode: str = EXACT
@@ -354,8 +354,9 @@ def solve(
         })
         # A fully built last level is the finished search: no limit is read
         # after it, so a cap or deadline crossed by its final labels cannot
-        # discard it.
-        if cap_hit or timed_out or (level + 1 < n and limit_reached(labels_total)):
+        # discard it. Its labels are complete tours, so the final pick, not a
+        # refresh, compares them, and that pick's result ends u_trajectory.
+        if cap_hit or timed_out or level + 1 == n or limit_reached(labels_total):
             if cap_hit and cfg.mode == EXACT:
                 raise EngineLimitError(
                     f"label cap {labels_cap} exceeded at level {level + 1} "
@@ -413,6 +414,8 @@ def solve(
                     "internal error: exact search ended worse than the incumbent"
                 )
     final_obj, final_order = min([(ub, inc_order), *tours])
+    if len(level_stats) == n and not timed_out and not cap_hit:
+        u_trajectory.append(final_obj)
 
     route = evaluate_route(instance, index, final_order)
     if route.objective != final_obj:

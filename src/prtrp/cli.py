@@ -351,8 +351,8 @@ def _numbers(values, where: str) -> List[float]:
 def _solution_arcs(x_raw, n: int) -> List[List[float]]:
     """x of a solution file as a dense (n+1)x(n+1) matrix.
 
-    x is either that matrix or a list of used [i, j] arcs. A zero diagonal
-    disambiguates the 2x2 case, where both shapes agree.
+    x is either that matrix, zero on the diagonal, or a list of used [i, j]
+    arcs; in the 2x2 case, where both fit, a diagonal entry >= 0.5 marks arcs.
     """
     if not isinstance(x_raw, list):
         raise ValueError(f"x must be a matrix or a list of [i, j] arcs, got {x_raw!r}")
@@ -360,7 +360,11 @@ def _solution_arcs(x_raw, n: int) -> List[List[float]]:
         isinstance(row, list) and len(row) == n + 1 for row in x_raw
     ):
         x = [_numbers(row, f"x[{i}]") for i, row in enumerate(x_raw)]
-        if all(abs(x[i][i]) < 0.5 for i in range(n + 1)):
+        if n > 1 or all(abs(x[i][i]) < 0.5 for i in range(2)):
+            for i in range(n + 1):
+                if x[i][i]:
+                    raise ValueError(f"x[{i}][{i}] must be 0, got {x_raw[i][i]!r}: "
+                                     "the model has no arc from a vertex to itself")
             return x
     x = [[0.0] * (n + 1) for _ in range(n + 1)]
     for arc in x_raw:

@@ -155,7 +155,9 @@ def evaluate_route(
         t[v - 1] = now
         mask |= 1 << (v - 1)
         # Repairing v can only energize v's successors, so only they are
-        # tested: O(sum of depths) per route, not one scan of all n per leg.
+        # tested: O(sum of depths) per route. This is make_newly_lit's rule,
+        # kept inline: through it a call ran 10-40% slower on Python 3.11
+        # (n=10: 14 -> 20 us; n=63: 115-119 -> 131-142 us).
         for u in successors[v - 1]:
             a = ancestors[u - 1]
             if a & mask == a:

@@ -229,6 +229,24 @@ def reference_travel_report(travel) -> list:
     return bad
 
 
+TOLERANCE = 1e-6
+
+
+def reference_time_row_report(travel, big_m, x, t) -> list:
+    """check_assignment's big-M time-row messages, walked entry by entry:
+    time_i_j for j = 1..n, and within each j for i = 0..n, i != j."""
+    bad = []
+    for j in range(1, len(t)):
+        for i in range(len(t)):
+            if i == j:
+                continue
+            lhs = t[j] - t[i] - big_m * x[i][j]
+            rhs = travel[i][j] - big_m
+            if lhs < rhs - TOLERANCE:
+                bad.append(f"time_{i}_{j}: {lhs} < {rhs}")
+    return bad
+
+
 def reference_absorbed_travel(travel, durations):
     """Every arc into vertex i >= 1 lengthened by durations[i-1], one arc
     at a time in row order; OverflowError names the first arc that leaves

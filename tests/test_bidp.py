@@ -261,6 +261,10 @@ class TestSolveVariants:
         # Limits are read before every parent, so the overshoot is at most
         # one parent's children, fewer than n.
         assert report.stats["labels_total"] <= cap + inst.n
+        # The incumbent after the descents and after each of the 4 levels
+        # built in full; the stopped level adds none.
+        assert report.stats["u_trajectory"] == [34773, 34773, 34220, 34220, 34220]
+        assert report.objective == 34220
         with pytest.raises(EngineLimitError, match=r"at level 5 \((\d+) labels\)") as exc:
             solve(inst, SolverConfig(labels_cap=cap))
         stopped_at = int(re.search(r"\((\d+) labels\)", str(exc.value)).group(1))
@@ -355,6 +359,11 @@ class TestSolveVariants:
         assert report.proven_optimal == (mode == EXACT)
         assert (report.objective, report.route.order) == \
             (full.objective, full.route.order)
+        # One refresh after each level but the last, whose complete tours
+        # the final pick compares directly; its result ends the trajectory.
+        assert clock["refreshes"] == inst.n - 1
+        assert len(stats["u_trajectory"]) == inst.n + 1
+        assert stats["u_trajectory"][-1] == report.objective
 
     def test_relaxed_search_stops_once_every_path_is_pruned(self):
         inst = generate_random(10, seed=2900)
@@ -364,7 +373,7 @@ class TestSolveVariants:
         # The level that builds no label is the last one recorded.
         assert len(created) < inst.n
         assert created[-1] == 0 and all(created[:-1])
-        assert len(stats["u_trajectory"]) == len(created) + 1
+        assert stats["u_trajectory"] == [18756] * (len(created) + 1)
         assert stats["join_candidates"] == 0
         assert not stats["time_limit_reached"] and not stats["labels_cap_reached"]
         assert report.objective == stats["u_trajectory"][-1]

@@ -15,6 +15,15 @@ def star_file(tmp_path, star):
     return str(inst_mod.save(star, tmp_path / "star.json"))
 
 
+def _dense(arcs, loop, value):
+    """The 5x5 matrix of arcs, with value at x[loop][loop]."""
+    x = [[0] * 5 for _ in range(5)]
+    for i, j in arcs:
+        x[i][j] = 1
+    x[loop][loop] = value
+    return x
+
+
 def run_cli(capsys, argv):
     try:
         code = cli.main(argv)
@@ -570,9 +579,15 @@ class TestMipCommands:
              "r[3] must be a finite number, got '3'"),
             (lambda sol: {**sol, "t": [*sol["t"][:-1], float("inf")]},
              "t[4] must be a finite number, got inf"),
+            # Past n = 1 a 5x5 x is a matrix whatever its diagonal holds.
+            (lambda sol: {**sol, "x": _dense(sol["x"], 2, 1)},
+             "x[2][2] must be 0, got 1: the model has no arc from a vertex to itself"),
+            (lambda sol: {**sol, "x": _dense(sol["x"], 3, 0.25)},
+             "x[3][3] must be 0, got 0.25"),
         ],
         ids=["missing-t", "arc-out-of-range", "arc-not-a-pair", "float-arc",
-             "top-level-list", "bool-time", "string-disruption", "infinite-time"],
+             "top-level-list", "bool-time", "string-disruption", "infinite-time",
+             "dense-x-loop", "dense-x-small-loop"],
     )
     def test_check_mip_malformed_solution_exits_2(
         self, capsys, tmp_path, change, message
@@ -595,6 +610,24 @@ class TestMipCommands:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and message in err
+
+    def test_check_mip_reads_both_shapes_at_n_1(self, capsys, tmp_path):
+        # At n = 1 a list of the two arcs is also 2x2; a diagonal entry of
+        # 0.5 or more marks it as the list.
+        inst = generate_random(1, seed=1)
+        inst_mod.save(inst, tmp_path / "i.json")
+        verdicts = []
+        for x in ([[0, 1], [1, 0]], [[1, 0], [0, 1]]):
+            path = tmp_path / "sol.json"
+            path.write_text(json.dumps(
+                {"instance": "i.json", "x": x, "t": [0, inst.travel[0][1]],
+                 "r": [inst.travel[0][1]]}
+            ))
+            code, out, _ = run_cli(capsys, ["check-mip", str(path)])
+            assert code == 0
+            verdicts.append(json.loads(out))
+        assert verdicts[0] == verdicts[1]
+        assert verdicts[0]["order"] == [1]
 
 
 class TestEvaluate:

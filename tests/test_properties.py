@@ -36,9 +36,11 @@ from prtrp.heuristics import descent  # noqa: E402
 
 from helpers import (  # noqa: E402
     MAX_TRAVEL,
+    TOLERANCE,
     ancestor_sets,
     leg_sum_objective,
     reference_absorbed_travel,
+    reference_time_row_report,
     reference_travel_report,
     sim_objective_with_durations,
     walk_bound,
@@ -184,14 +186,52 @@ BAD_ENTRIES = st.sampled_from(
 @EXAMPLES
 @given(instances(max_n=10), st.data())
 def test_validate_reports_bad_entries_in_entry_order(inst, data):
-    # validate walks the matrix only when its one-pass test fails; a bad
-    # entry in a late row or on the diagonal must still be reported, in order.
+    # A bad entry in a late row or on the diagonal is reported, in entry
+    # order, as a walk over the whole matrix reports it.
     travel = [list(row) for row in inst.travel]
     for _ in range(data.draw(st.integers(1, 4))):
         i = data.draw(st.one_of(st.just(inst.n), st.integers(0, inst.n)))
         j = data.draw(st.one_of(st.just(i), st.integers(0, inst.n)))
         travel[i][j] = data.draw(BAD_ENTRIES)
     assert validate(replace(inst, travel=travel)) == reference_travel_report(travel)
+
+
+# Arc values a perturbed x entry takes: binary, just off binary within the
+# tolerance, and far from it.
+ARC_VALUES = st.sampled_from([0, 1, 0.5, 1 + TOLERANCE / 2, -TOLERANCE / 2, 2])
+
+
+@EXAMPLES
+@given(instances(max_n=8), st.data())
+def test_check_reports_time_rows_in_entry_order(inst, data):
+    # Several t and x entries of an encoded tour are perturbed, some putting
+    # a row time_i_j just inside or just past TOLERANCE of its floor; the
+    # time-row reports must be those of a walk over every row, in order.
+    index = build_index(inst)
+    model = build_model(inst, index)
+    big_m = model.big_m
+    order = data.draw(st.permutations(range(1, inst.n + 1)))
+    x, t, r = encode_route(inst, index, order)
+    # On the tour's arc into j, moving t_j to the floor leaves j's other
+    # rows satisfied, so that row alone is near its floor.
+    tour_arc_into = dict(zip(order, (0, *order)))
+    for _ in range(data.draw(st.integers(1, 6))):
+        j = data.draw(st.integers(1, inst.n))
+        i = data.draw(st.sampled_from([k for k in range(inst.n + 1) if k != j]))
+        kind = data.draw(st.sampled_from(["x", "t", "floor", "tour floor"]))
+        if kind == "x":
+            x[i][j] = data.draw(ARC_VALUES)
+        elif kind == "t":
+            t[j] = data.draw(st.one_of(st.integers(-50, 3000),
+                                       st.floats(-50, 3000, allow_nan=False)))
+        else:
+            if kind == "tour floor":
+                i = tour_arc_into[j]
+            eps = data.draw(st.sampled_from([-2, -1.25, -1, -0.75, 0, 0.75, 1, 2]))
+            t[j] = t[i] + big_m * x[i][j] + inst.travel[i][j] - big_m + eps * TOLERANCE
+    res = check_assignment(model, inst, index, x, t, r)
+    assert [v for v in res.violations if v.startswith("time_")] == \
+        reference_time_row_report(model.travel, big_m, x, t)
 
 
 @EXAMPLES
