@@ -164,10 +164,6 @@ def build_walk_table(instance: Instance, index: PrecedenceIndex) -> WalkTable:
     n = instance.n
     travel = instance.travel
     source = index.source
-    minout = [0] * (n + 1)
-    for v in range(1, n + 1):
-        minout[v] = min((travel[v][x] for x in range(1, n + 1) if x != v), default=0)
-
     # First stop 0 marks the empty walk, which has no turn-back to avoid.
     h = ([0] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))
     g = ([_NO_WALK] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))
@@ -182,4 +178,6 @@ def build_walk_table(instance: Instance, index: PrecedenceIndex) -> WalkTable:
             part[source] = h_part[source]
         H.append(tuple(h[0]))
         G.append(tuple(g[0]))
-    return WalkTable(H=tuple(H), G=tuple(G), minout=tuple(minout))
+    # minout is H's one-leg row: v's shortest arc to another fault vertex.
+    # At n = 1 no such arc exists and H[0], all zero, stands in.
+    return WalkTable(H=tuple(H), G=tuple(G), minout=H[1] if n > 1 else H[0])

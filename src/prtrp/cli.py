@@ -210,22 +210,24 @@ def cmd_bench(args) -> int:
     instances = _bench_instances(args)
 
     rows = []
-    results: Dict[str, Dict[str, Optional[int]]] = {}
     for inst in instances:
-        results[inst.name] = {}
+        first = len(rows)
         for token, name, config in tokens:
             start = time.perf_counter()
             try:
                 route, proven, _ = _run_method(inst, name, config)
                 wall = time.perf_counter() - start
                 _recheck(inst, route)
-                results[inst.name][token] = route.objective
                 rows.append(
                     [inst.name, inst.n, token, route.objective, wall, proven, ""]
                 )
             except (EngineLimitError, ValueError) as exc:
-                results[inst.name][token] = None
                 rows.append([inst.name, inst.n, token, "", None, "", str(exc)])
+        # Each row is scored against its own instance's best; names may
+        # repeat across the files of a --dir.
+        best = min((row[3] for row in rows[first:] if row[3] != ""), default=None)
+        for row in rows[first:]:
+            row.append(best)
 
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -233,10 +235,7 @@ def cmd_bench(args) -> int:
         ["instance", "n", "method", "z", "t_sec", "gap_pct", "proven_optimal", "error"]
     )
     gaps: Dict[str, List[float]] = {token: [] for token, *_ in tokens}
-    for name, n, token, z, wall, proven, err in rows:
-        best = min(
-            (v for v in results[name].values() if v is not None), default=None
-        )
+    for name, n, token, z, wall, proven, err, best in rows:
         gap = ""
         if z != "" and best:
             pct = 100.0 * (z - best) / best

@@ -15,7 +15,7 @@ from itertools import chain, compress, count
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance, Matrix
-from .power_eval import PrecedenceIndex, evaluate_route, vertices
+from .power_eval import PrecedenceIndex, evaluate_route
 
 TOLERANCE = 1e-6
 
@@ -51,9 +51,11 @@ def build_model(
     n = instance.n
     if big_m is None:
         big_m = sum(sum(row) - row[i] for i, row in enumerate(instance.travel))
-    linkage = [
-        (j, i) for j in range(1, n + 1) for i in vertices(index.ancestors[j - 1])
-    ]
+    # Each i's successor list names the j whose ancestor sets hold i;
+    # sorting the pairs lists each j's ancestors in ascending label order.
+    linkage = sorted(
+        (j, i) for i, below in enumerate(index.successors, 1) for j in below
+    )
     return MipModel(
         name=instance.name,
         n=n,

@@ -1,14 +1,15 @@
 """Precedence semantics of the power tree and exact route evaluation.
 
-Vertex sets are n-bit masks with bit v-1 standing for vertex v, so the
-solver hot loops compare and hash sets as single integers. Supports up to
-63 fault vertices.
+Ancestor sets are n-bit masks with bit v-1 standing for vertex v, so the
+solver hot loops compare and hash sets as single integers; the tree is
+read top-down from per-vertex successor lists. Supports up to 63 fault
+vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .instance import Instance, Route
 
@@ -24,46 +25,34 @@ class PrecedenceIndex:
     been repaired.
     """
 
-    n: int
     source: int
     successor_count: Tuple[int, ...]
     successors: Tuple[Tuple[int, ...], ...]
     ancestors: Tuple[int, ...]
 
 
-def vertices(mask: int) -> Iterator[int]:
-    """The vertices of a mask (bit v-1 is vertex v), smallest label first.
-
-    The one walk over a mask's bits: the index, the route evaluation and
-    the MIP linkage rows all read ancestor sets through it.
-    """
-    while mask:
-        low = mask & -mask
-        yield low.bit_length()
-        mask ^= low
-
-
 def build_index(instance: Instance) -> PrecedenceIndex:
-    """Index a valid instance. O(n^2) mask construction."""
+    """Index a valid instance, O(sum of depths): the walk up from each v
+    sets v's ancestor mask and appends v to the successor list of every
+    vertex it passes. v runs upward, so each list comes out ascending.
+    """
     n = instance.n
     parent = instance.power_parent
+    source = instance.source
     ancestors = [0] * n
+    successors = [[] for _ in range(n)]
     for v in range(1, n + 1):
         mask = 1 << (v - 1)
+        successors[v - 1].append(v)
         cur = v
-        while cur != instance.source:
+        while cur != source:
             cur = parent[cur]
             mask |= 1 << (cur - 1)
+            successors[cur - 1].append(v)
         ancestors[v - 1] = mask
 
-    successors = [[] for _ in range(n)]
-    for u, m in enumerate(ancestors, 1):
-        for v in vertices(m):
-            successors[v - 1].append(u)
-
     return PrecedenceIndex(
-        n=n,
-        source=instance.source,
+        source=source,
         successor_count=tuple(map(len, successors)),
         successors=tuple(map(tuple, successors)),
         ancestors=tuple(ancestors),
@@ -130,7 +119,10 @@ def evaluate_route(
 
     Arrival times accumulate travel from the depot; the disruption time of a
     vertex is the largest arrival time among its ancestors (itself
-    included). The per-vertex sum is cross-checked against the equivalent
+    included). One walk over the order finds both: arriving at v sets the
+    disruption time of each successor of v, and since arrival times never
+    decrease, the last such write, from the ancestor reached last, is the
+    largest. The per-vertex sum is cross-checked against the equivalent
     leg-weighted sum, where each travel leg costs its duration times the
     number of dark vertices while it is driven.
     """
@@ -143,6 +135,7 @@ def evaluate_route(
     travel = instance.travel
     ancestors, successors = index.ancestors, index.successors
     t = [0] * n
+    r = [0] * n
     now = 0
     prev = 0
     mask = 0
@@ -157,15 +150,17 @@ def evaluate_route(
         # Repairing v can only energize v's successors, so only they are
         # tested: O(sum of depths) per route. This is make_newly_lit's rule,
         # kept inline: through it a call ran 10-40% slower on Python 3.11
-        # (n=10: 14 -> 20 us; n=63: 115-119 -> 131-142 us).
+        # (n=10: 14 -> 20 us; n=63: 115-119 -> 131-142 us). v is an
+        # ancestor of each of them, and `now` never decreases, so the last
+        # write to r[u-1] is the latest arrival among u's ancestors.
         for u in successors[v - 1]:
+            r[u - 1] = now
             a = ancestors[u - 1]
             if a & mask == a:
                 dark -= 1
         prev = v
     # The leg back to the depot has everything repaired and costs nothing.
 
-    r = [max(t[u - 1] for u in vertices(a)) for a in ancestors]
     objective = sum(r)
     if objective != legs_total:
         raise RuntimeError(

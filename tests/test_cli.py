@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -209,6 +210,25 @@ class TestBench:
         )
         assert code == 0
         assert len([ln for ln in out.splitlines() if ln.startswith("rand-")]) == 2
+
+    def test_directory_instances_sharing_a_name(self, capsys, tmp_path):
+        # b.json's instance takes a.json's name; each file's rows must still
+        # be scored against that file's own best (bidp's proven optimum).
+        inst_mod.save(generate_random(6, seed=1), tmp_path / "a.json")
+        other = dataclasses.replace(generate_random(6, seed=2), name="rand-n6-s1")
+        inst_mod.save(other, tmp_path / "b.json")
+        code, out, _ = run_cli(
+            capsys,
+            ["bench", "--dir", str(tmp_path), "--methods", "gid,bidp", "--no-timing"],
+        )
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines() if ln.startswith("rand-")]
+        assert [(r[0], r[2], r[3], r[5]) for r in rows] == [
+            ("rand-n6-s1", "gid", "9848", "9.01"),
+            ("rand-n6-s1", "bidp", "9034", "0.00"),
+            ("rand-n6-s1", "gid", "11560", "45.04"),
+            ("rand-n6-s1", "bidp", "7970", "0.00"),
+        ]
 
     def test_failures_recorded_in_row(self, capsys):
         code, out, _ = run_cli(

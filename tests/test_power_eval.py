@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prtrp import (
     build_index,
@@ -11,7 +12,9 @@ from prtrp import (
     make_newly_lit,
 )
 
-from helpers import dark_profile, leg_sum_objective, random_orders
+from helpers import ancestor_sets, dark_profile, leg_sum_objective, random_orders
+
+EXAMPLES = settings(max_examples=100, derandomize=True, database=None, deadline=None)
 
 
 def mask(*vertices):
@@ -43,15 +46,18 @@ class TestBuildIndex:
                 assert index.successor_count[v - 1] == 1 + below[v]
 
     def test_successor_ancestor_duality(self):
-        # The vertices at or below i are those whose ancestor sets hold i.
-        inst = generate_random(8, seed=414)
-        index = build_index(inst)
-        for i in range(1, 9):
-            holders = tuple(
-                u for u, a in enumerate(index.ancestors, 1) if a & mask(i)
-            )
-            assert index.successors[i - 1] == holders
-            assert index.successor_count[i - 1] == len(holders)
+        # The vertices at or below i are those whose ancestor sets hold i,
+        # listed in ascending order: uniform and star trees up to n = 63.
+        for n, seed in ((8, 414), (12, 415), (30, 416), (63, 1), (63, 417)):
+            base = generate_random(n, seed=seed)
+            for inst in (base, generate_star_reduction(base.travel)):
+                index = build_index(inst)
+                for i in range(1, n + 1):
+                    holders = tuple(
+                        u for u, a in enumerate(index.ancestors, 1) if a & mask(i)
+                    )
+                    assert index.successors[i - 1] == holders, (inst.name, i)
+                    assert index.successor_count[i - 1] == len(holders)
 
 
 class TestDisruptedCount:
@@ -150,7 +156,38 @@ class TestEvaluateRoute:
             evaluate_route(withp, star_index, (1, 2, 3))
 
 
+@st.composite
+def orders_on_trees(draw):
+    """A uniform or star tree of up to 63 vertices and a visiting order.
+
+    Small coordinate ranges put vertices on one point, so some legs have
+    length zero and arrival times tie.
+    """
+    n = draw(st.integers(1, 63))
+    base = generate_random(
+        n, seed=draw(st.integers(0, 9999)),
+        coord_range=draw(st.sampled_from([0, 1, 2, 5, 1000])),
+    )
+    inst = draw(st.sampled_from([base, generate_star_reduction(base.travel)]))
+    return inst, draw(st.permutations(range(1, n + 1)))
+
+
 class TestRouteProperties:
+    @EXAMPLES
+    @given(orders_on_trees())
+    def test_disruption_is_the_latest_ancestor_arrival(self, case):
+        inst, order = case
+        route = evaluate_route(inst, build_index(inst), order)
+        t = {}
+        now = prev = 0
+        for v in order:
+            now += inst.travel[prev][v]
+            t[v] = now
+            prev = v
+        assert route.t == tuple(t[v] for v in range(1, inst.n + 1))
+        for u, anc in ancestor_sets(inst).items():
+            assert route.r[u - 1] == max(t[a] for a in anc), (inst.name, order, u)
+
     def test_leg_sum_equals_disruption_sum(self):
         rng = random.Random(123)
         for k in range(12):
