@@ -91,7 +91,7 @@ def compute_beta(table: BoundsTable, upper: int) -> List[int]:
         raise ValueError(f"upper bound must be >= 0, got {upper}")
     for i in range(1, n + 1):
         k_min = n - table.successor_count[i - 1] + 1
-        for k in range(max(k_min, 1), n + 1):
+        for k in range(k_min, n + 1):
             if position_lower_bound(table, i, k) > upper:
                 beta[i - 1] = k - 1
                 break

@@ -180,7 +180,7 @@ def _bench_instances(args) -> List[Instance]:
         directory = Path(args.dir)
         if not directory.is_dir():
             raise FileNotFoundError(f"instance directory not found: {args.dir}")
-        paths = sorted(directory.glob("*.json"))
+        paths = sorted(p for p in directory.glob("*.json") if p.is_file())
         if not paths:
             raise ValueError(f"no *.json instance files in {args.dir}")
         return [_load_instance(str(p)) for p in paths]

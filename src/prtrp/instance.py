@@ -204,19 +204,18 @@ def absorb_repair_durations(instance: Instance) -> Instance:
     Every arc into fault vertex i gets lengthened by its repair time, after
     which all durations are zero. Arrival times in the returned instance
     equal repair-completion times in the original, so every route keeps its
-    objective. Raises OverflowError if a lengthened arc leaves the 64-bit
-    range.
+    objective. An instance with no repair time comes back as it is. Raises
+    OverflowError if a lengthened arc leaves the 64-bit range.
     """
+    if not any(instance.repair_duration):
+        return instance
     n = instance.n
     shift = (0, *instance.repair_duration)
-    if any(shift):
-        rows = []
-        for j, old in enumerate(instance.travel):
-            row = list(map(add, old, shift))
-            row[j] = old[j]
-            rows.append(tuple(row))
-    else:  # all durations zero, the usual case: the rows stay as they are
-        rows = list(map(tuple, instance.travel))
+    rows = []
+    for j, old in enumerate(instance.travel):
+        row = list(map(add, old, shift))
+        row[j] = old[j]
+        rows.append(tuple(row))
     if max(map(max, rows)) > MAX_TRAVEL:
         # Only a lengthened arc can overflow: name the first in row order.
         for j, row in enumerate(rows):

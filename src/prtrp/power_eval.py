@@ -149,10 +149,10 @@ def evaluate_route(
         mask |= 1 << (v - 1)
         # Repairing v can only energize v's successors, so only they are
         # tested: O(sum of depths) per route. This is make_newly_lit's rule,
-        # kept inline: through it a call ran 10-40% slower on Python 3.11
-        # (n=10: 14 -> 20 us; n=63: 115-119 -> 131-142 us). v is an
-        # ancestor of each of them, and `now` never decreases, so the last
-        # write to r[u-1] is the latest arrival among u's ancestors.
+        # kept inline: through it a call took about twice as long on Python 3.11
+        # (n=10: 7-12 -> 14-26 us; n=63: 41-72 -> 75-95 us uniform, 28-41 ->
+        # 63-82 us star). v is an ancestor of each of them, and `now` never
+        # decreases, so the last write to r[u-1] is the latest ancestor arrival.
         for u in successors[v - 1]:
             r[u - 1] = now
             a = ancestors[u - 1]

@@ -94,6 +94,7 @@ class TestSolve:
             ("name", 5, "name must be a string, got 5"),
             ("name", [1], "name must be a string, got [1]"),
             ("name", None, "name must be a string, got None"),
+            ("repair_durations", 5, "repair durations must be a list of integers"),
         ],
     )
     def test_malformed_instance_exits_2_with_report(
@@ -229,6 +230,24 @@ class TestBench:
             ("rand-n6-s1", "gid", "11560", "45.04"),
             ("rand-n6-s1", "bidp", "7970", "0.00"),
         ]
+
+    def test_directory_with_a_json_named_subdirectory(self, capsys, tmp_path):
+        # Only regular files are instances; a directory left with none is
+        # still reported as empty.
+        (tmp_path / "runs.json").mkdir()
+        code, out, err = run_cli(
+            capsys, ["bench", "--dir", str(tmp_path), "--methods", "gid", "--no-timing"]
+        )
+        assert (code, out) == (2, "")
+        assert f"no *.json instance files in {tmp_path}" in err
+        inst_mod.save(generate_random(5, seed=1), tmp_path / "a.json")
+        code, out, _ = run_cli(
+            capsys,
+            ["bench", "--dir", str(tmp_path), "--methods", "gid,bidp", "--no-timing"],
+        )
+        assert code == 0
+        rows = [ln.split(",") for ln in out.splitlines() if ln.startswith("rand-")]
+        assert [(r[0], r[2]) for r in rows] == [("rand-n5-s1", "gid"), ("rand-n5-s1", "bidp")]
 
     def test_failures_recorded_in_row(self, capsys):
         code, out, _ = run_cli(
@@ -392,6 +411,14 @@ class TestUnusableInput:
              "output directory not found: {tmp}/missing/"),
             (["export-mip", "{star}", "-o", "{tmp}/empty"],
              "export-mip -o names a directory, not a file: {tmp}/empty"),
+            (["generate", "--n", "0", "--seed", "1", "-o", "{tmp}/g.json"],
+             "n must be >= 1, got 0"),
+            (["bench", "--methods", "gid"], "bench needs --dir or --n/--count/--seed"),
+            (["generate", "--n", "4", "-o", "{tmp}/g.json"],
+             "generate needs --n and --seed"),
+            (["solve", "{tmp}/list.json"], "instance data must be a JSON object"),
+            (["check-mip", "{tmp}/missing/sol.json"],
+             "solution file not found: {tmp}/missing/sol.json"),
         ],
         ids=["bench-missing-dir", "bench-empty-dir", "bench-count-0",
              "bench-count-negative", "export-mip-negative-big-m",
@@ -408,10 +435,14 @@ class TestUnusableInput:
              "generate-subtree-with-default-family", "bench-dir-with-generation-flags",
              "bench-dir-with-default-seed-and-coord-range",
              "generate-into-missing-directory", "bench-repeated-method-token",
-             "export-mip-into-missing-directory", "export-mip-onto-directory"],
+             "export-mip-into-missing-directory", "export-mip-onto-directory",
+             "generate-no-fault-vertex", "bench-without-instances",
+             "generate-without-seed", "instance-not-an-object",
+             "check-mip-missing-solution"],
     )
     def test_exits_2_with_report(self, capsys, tmp_path, star, argv, message):
         (tmp_path / "empty").mkdir()
+        (tmp_path / "list.json").write_text("[]")
         star_file = inst_mod.save(star, tmp_path / "star.json")
         # Every arc must fit a signed 64-bit word, before and after the
         # repair durations are folded into it.
@@ -553,6 +584,41 @@ class TestMipCommands:
         assert verdict["feasible"] is False
         assert any("link_3" in v for v in verdict["violations"])
 
+    @pytest.mark.parametrize(
+        "change, violation",
+        [
+            (lambda sol: {**sol, "t": [3, *sol["t"][1:]]}, "t_0 = 3.0 must be 0"),
+            (lambda sol: {**sol, "r": [sol["r"][0], -1, sol["r"][2]]},
+             "r_2 = -1.0 below 0"),
+        ],
+        ids=["depot-time", "negative-disruption"],
+    )
+    def test_check_mip_bound_violation_exits_1(
+        self, capsys, star_file, tmp_path, star, change, violation
+    ):
+        from prtrp import build_index, encode_route
+
+        x, t, r = encode_route(star, build_index(star), (1, 2, 3))
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(change(
+            {"instance": os.path.basename(star_file), "x": x, "t": t, "r": r}
+        )))
+        code, out, _ = run_cli(capsys, ["check-mip", str(sol)])
+        assert code == 1
+        assert violation in json.loads(out)["violations"]
+
+    def test_check_mip_instance_flag_overrides_the_file(
+        self, capsys, star_file, tmp_path, star
+    ):
+        from prtrp import build_index, encode_route
+
+        x, t, r = encode_route(star, build_index(star), (1, 2, 3))
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"instance": "missing.json", "x": x, "t": t, "r": r}))
+        code, out, _ = run_cli(capsys, ["check-mip", str(sol), "--instance", star_file])
+        assert code == 0
+        assert json.loads(out)["objective"] == 6
+
     def test_check_mip_inline_instance(self, capsys, tmp_path, star):
         from prtrp import build_index, encode_route
 
@@ -604,10 +670,16 @@ class TestMipCommands:
              "x[2][2] must be 0, got 1: the model has no arc from a vertex to itself"),
             (lambda sol: {**sol, "x": _dense(sol["x"], 3, 0.25)},
              "x[3][3] must be 0, got 0.25"),
+            (lambda sol: {k: v for k, v in sol.items() if k != "instance"},
+             "solution file does not name its instance"),
+            (lambda sol: {**sol, "t": 5}, "t must be a list of numbers, got 5"),
+            (lambda sol: {**sol, "x": 7},
+             "x must be a matrix or a list of [i, j] arcs, got 7"),
         ],
         ids=["missing-t", "arc-out-of-range", "arc-not-a-pair", "float-arc",
              "top-level-list", "bool-time", "string-disruption", "infinite-time",
-             "dense-x-loop", "dense-x-small-loop"],
+             "dense-x-loop", "dense-x-small-loop", "no-instance", "scalar-t",
+             "scalar-x"],
     )
     def test_check_mip_malformed_solution_exits_2(
         self, capsys, tmp_path, change, message

@@ -199,6 +199,34 @@ class TestDescent:
         # A deadline already past returns the start.
         assert run(0) == start
 
+    def test_deadline_in_a_left_scan_returns_the_scan_start(self, monkeypatch):
+        inst = generate_random(12, seed=5)
+        index = build_index(inst)
+        start = greedy_distance(inst, index)
+        # From the nearest-first tour, the 25th clock read is the first made
+        # while scanning a segment's moves to the left; the clock is past
+        # the deadline from then on.
+        reads = []
+
+        def perf_counter():
+            reads.append(None)
+            return 1e9 if len(reads) >= 25 else 0.0
+
+        scans = []
+        scan = heuristics._first_improving_move
+
+        def recording_scan(order, *rest):
+            scans.append(tuple(order[:-1]))
+            return scan(order, *rest)
+
+        monkeypatch.setattr(heuristics.time, "perf_counter", perf_counter)
+        monkeypatch.setattr(heuristics, "_first_improving_move", recording_scan)
+        stopped = descent(inst, index, start.order, deadline=1.0)
+        assert len(reads) == 25
+        assert len(scans) == 2 and scans[0] == start.order
+        assert stopped == evaluate_route(inst, index, scans[-1])
+        assert stopped.objective < start.objective
+
     def test_rejects_a_bad_start_before_any_move(self, star, monkeypatch):
         from prtrp import Instance
 

@@ -96,10 +96,11 @@ class TestValidate:
             ({"repair_duration": None},
              "repair_duration must be a list of integers, got None"),
             ({"power_parent": None}, "power_parent must be a dict, got None"),
+            ({"repair_duration": (0, 0)}, "repair_duration must have length 3"),
         ],
         ids=["name", "float-arc", "string-arc", "source", "bool-source", "child",
              "parent", "duration", "string-n", "float-n", "no-travel", "no-row",
-             "no-durations", "no-parent-map"],
+             "no-durations", "no-parent-map", "short-durations"],
     )
     def test_type_is_reported_before_any_comparison(self, fields, message):
         # On an Instance built directly; a string here would raise
@@ -116,8 +117,12 @@ class TestMakeInstanceGate:
             (STAR_TRAVEL, {2: 1}, "power_parent must map exactly"),
             (with_arc(0, 1, -1), {2: 1, 3: 1},
              "negative travel time: travel[0][1] = -1"),
+            ([*STAR_TRAVEL[:2], STAR_TRAVEL[2][:3], STAR_TRAVEL[3]], {2: 1, 3: 1},
+             "travel matrix must be 4x4"),
+            ([[0]], {}, "n must be >= 1, got 0"),
         ],
-        ids=["cyclic-parents", "parent-outside", "missing-parent", "negative-arc"],
+        ids=["cyclic-parents", "parent-outside", "missing-parent", "negative-arc",
+             "ragged-travel", "no-fault-vertex"],
     )
     def test_invalid_instance_raises_the_report(self, travel, power_parent, message):
         with pytest.raises(ValueError) as caught:
@@ -139,9 +144,12 @@ class TestMakeInstanceGate:
 
 class TestAbsorbRepairDurations:
     def test_zero_durations_are_identity(self, star):
-        out = absorb_repair_durations(star)
-        assert out.travel == star.travel
-        assert out.repair_duration == (0, 0, 0)
+        assert absorb_repair_durations(star) is star
+        # Nothing is folded, so an arc past 2^63 - 1 is left for validate
+        # to report, not named as an absorbed one.
+        wide = unchecked(travel=with_arc(0, 2, 2**63))
+        assert absorb_repair_durations(wide) is wide
+        assert validate(wide) == ["travel[0][2] exceeds the 64-bit range"]
 
     def test_star_with_source_duration(self, star):
         withp = Instance(
