@@ -84,10 +84,16 @@ def _limits_need_bidp(args, methods: Sequence[str]) -> None:
         )
 
 
+def _prepare(inst: Instance):
+    """(work, index): inst with its repair durations folded into the arcs,
+    and the power-tree index of that copy."""
+    work = inst_mod.absorb_repair_durations(inst)
+    return work, build_index(work)
+
+
 def _run_method(inst: Instance, method: str, config: bidp.SolverConfig):
     """Solve with one method; returns (route, proven_optimal, stats)."""
-    work = inst_mod.absorb_repair_durations(inst)
-    index = build_index(work)
+    work, index = _prepare(inst)
     if method == "bidp":
         report = bidp.solve(work, config, index)
         return report.route, report.proven_optimal, report.stats
@@ -104,8 +110,7 @@ def _run_method(inst: Instance, method: str, config: bidp.SolverConfig):
 
 def _recheck(inst: Instance, route) -> None:
     # Every emitted objective is recomputed from scratch before printing.
-    work = inst_mod.absorb_repair_durations(inst)
-    again = evaluate_route(work, build_index(work), route.order)
+    again = evaluate_route(*_prepare(inst), route.order)
     if again.objective != route.objective:
         raise RuntimeError(
             "internal error: emitted objective does not re-evaluate "
@@ -136,14 +141,11 @@ def cmd_solve(args) -> int:
             "labels_cap": config.labels_cap,
             "time_limit": config.time_limit,
         },
-        "stats": _strip_timing(stats) if args.no_timing else stats,
+        "stats": {k: v for k, v in stats.items()
+                  if k != "wall_time_sec" or not args.no_timing},
     }
     print(json.dumps(record, indent=2))
     return EXIT_OK
-
-
-def _strip_timing(stats: Dict[str, object]) -> Dict[str, object]:
-    return {k: v for k, v in stats.items() if k != "wall_time_sec"}
 
 
 def _parse_method_token(args, token: str) -> Tuple[str, str, bidp.SolverConfig]:
@@ -209,45 +211,38 @@ def cmd_bench(args) -> int:
     _limits_need_bidp(args, [name for _, name, _ in tokens])
     instances = _bench_instances(args)
 
-    rows = []
-    for inst in instances:
-        first = len(rows)
-        for token, name, config in tokens:
-            start = time.perf_counter()
-            try:
-                route, proven, _ = _run_method(inst, name, config)
-                wall = time.perf_counter() - start
-                _recheck(inst, route)
-                rows.append(
-                    [inst.name, inst.n, token, route.objective, wall, proven, ""]
-                )
-            except (EngineLimitError, ValueError) as exc:
-                rows.append([inst.name, inst.n, token, "", None, "", str(exc)])
-        # Each row is scored against its own instance's best; names may
-        # repeat across the files of a --dir.
-        best = min((row[3] for row in rows[first:] if row[3] != ""), default=None)
-        for row in rows[first:]:
-            row.append(best)
-
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
         ["instance", "n", "method", "z", "t_sec", "gap_pct", "proven_optimal", "error"]
     )
     gaps: Dict[str, List[float]] = {token: [] for token, *_ in tokens}
-    for name, n, token, z, wall, proven, err, best in rows:
-        gap = ""
-        if z != "" and best:
-            pct = 100.0 * (z - best) / best
-            gaps[token].append(pct)
-            gap = f"{pct:.2f}"
-        elif z == best == 0:
-            # No ratio exists against a best of 0: only a tie scores 0.00,
-            # any other row gets no gap and no deviation.
-            gaps[token].append(0.0)
-            gap = "0.00"
-        tcell = "" if args.no_timing or wall is None else f"{wall:.3f}"
-        writer.writerow([name, n, token, z, tcell, gap, str(proven).lower(), err])
+    for inst in instances:
+        rows = []
+        for token, name, config in tokens:
+            start = time.perf_counter()
+            try:
+                route, proven, _ = _run_method(inst, name, config)
+                wall = time.perf_counter() - start
+                _recheck(inst, route)
+                rows.append((token, route.objective, wall, str(proven).lower(), ""))
+            except (EngineLimitError, ValueError) as exc:
+                rows.append((token, "", None, "", str(exc)))
+        # Scored against this instance's own best: names may repeat in a --dir.
+        best = min((row[1] for row in rows if row[1] != ""), default=None)
+        for token, z, wall, proven, err in rows:
+            gap = ""
+            if z != "" and best:
+                pct = 100.0 * (z - best) / best
+                gaps[token].append(pct)
+                gap = f"{pct:.2f}"
+            elif z == best == 0:
+                # No ratio exists against a best of 0: only a tie scores
+                # 0.00, any other row gets no gap and no deviation.
+                gaps[token].append(0.0)
+                gap = "0.00"
+            tcell = "" if args.no_timing or wall is None else f"{wall:.3f}"
+            writer.writerow([inst.name, inst.n, token, z, tcell, gap, proven, err])
     for token, *_ in tokens:
         vals = gaps[token]
         if not vals:
@@ -290,6 +285,8 @@ def cmd_generate(args) -> int:
     bad = inst_mod.validate(made)
     if bad:
         raise RuntimeError("generated instance failed validation: " + "; ".join(bad))
+    if out.is_dir() and Path(made.name).name != made.name:
+        raise ValueError(f"instance name {made.name!r} is not a file name; give -o FILE")
     path = out / f"{made.name}.json" if out.is_dir() else out
     inst_mod.save(made, path)
     print(path)
@@ -297,9 +294,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    inst = _load_instance(args.instance)
-    work = inst_mod.absorb_repair_durations(inst)
-    index = build_index(work)
+    work, index = _prepare(_load_instance(args.instance))
     table = bounds.build_bounds_table(work, index)
     if args.ub is not None:
         ub = args.ub
@@ -324,9 +319,8 @@ def cmd_export_mip(args) -> int:
     _check_output_dir(args.output)
     if args.output and Path(args.output).is_dir():
         raise ValueError(f"export-mip -o names a directory, not a file: {args.output}")
-    inst = _load_instance(args.instance)
-    work = inst_mod.absorb_repair_durations(inst)
-    model = mip_export.build_model(work, build_index(work), big_m=args.big_m)
+    work, index = _prepare(_load_instance(args.instance))
+    model = mip_export.build_model(work, index, big_m=args.big_m)
     text = mip_export.write_lp_text(model)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -340,11 +334,19 @@ def _numbers(values, where: str) -> List[float]:
     """values as floats; ValueError unless a list of finite numbers."""
     if not isinstance(values, list):
         raise ValueError(f"{where} must be a list of numbers, got {values!r}")
-    if not ({*map(type, values)} <= {int, float} and all(map(math.isfinite, values))):
+    if not _all_finite(values):
         for i, v in enumerate(values):
-            if type(v) not in (int, float) or not math.isfinite(v):
+            if not _all_finite([v]):
                 raise ValueError(f"{where}[{i}] must be a finite number, got {v!r}")
     return list(map(float, values))
+
+
+def _all_finite(values: list) -> bool:
+    """Every entry is an int or a float, and finite as a float."""
+    try:
+        return {*map(type, values)} <= {int, float} and all(map(math.isfinite, values))
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _solution_arcs(x_raw, n: int) -> List[List[float]]:
@@ -400,8 +402,7 @@ def cmd_check_mip(args) -> int:
     else:
         raise ValueError("solution file does not name its instance")
 
-    work = inst_mod.absorb_repair_durations(inst)
-    index = build_index(work)
+    work, index = _prepare(inst)
     model = mip_export.build_model(work, index)
     res = mip_export.check_assignment(
         model, work, index, _solution_arcs(data["x"], work.n),
@@ -425,9 +426,9 @@ def cmd_check_mip(args) -> int:
 
 def cmd_evaluate(args) -> int:
     inst = _load_instance(args.instance)
-    work = inst_mod.absorb_repair_durations(inst)
+    work, index = _prepare(inst)
     order = [int(v) for v in args.order.split(",")]
-    route = evaluate_route(work, build_index(work), order)
+    route = evaluate_route(work, index, order)
     print(
         json.dumps(
             {

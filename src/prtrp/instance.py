@@ -243,19 +243,13 @@ def extract_subtree(instance: Instance, new_source: int) -> Instance:
     if not 1 <= new_source <= instance.n:
         raise ValueError(f"unknown vertex {new_source}")
 
-    children: Dict[int, List[int]] = {}
-    for c, p in instance.power_parent.items():
-        children.setdefault(p, []).append(c)
-    keep = []
-    stack = [new_source]
-    while stack:
-        v = stack.pop()
-        keep.append(v)
-        stack.extend(children.get(v, ()))
-    keep.sort()
+    # power_eval imports this module, so its index is imported at call time.
+    from .power_eval import build_index
+
+    keep = build_index(instance).successors[new_source - 1]
     relabel = {old: new for new, old in enumerate(keep, start=1)}
 
-    idx = [0] + keep  # matrix rows/cols to retain, depot first
+    idx = (0, *keep)  # matrix rows/cols to retain, depot first
     travel = tuple(tuple(instance.travel[a][b] for b in idx) for a in idx)
     parent = {
         relabel[c]: relabel[instance.power_parent[c]] for c in keep if c != new_source
@@ -283,6 +277,9 @@ def generate_random(n: int, seed: int, coord_range: int = 1000) -> Instance:
         raise ValueError(f"n must be >= 1, got {n}")
     if coord_range < 0:
         raise ValueError(f"coord_range must be >= 0, got {coord_range}")
+    if coord_range > 2**62:
+        # Up to 2^62 a rounded distance is at most sqrt(2) * 2^62 < MAX_TRAVEL.
+        raise ValueError(f"coord_range must be <= 2**62, got {coord_range}")
     rng = random.Random(seed)
     pts = [(rng.randint(0, coord_range), rng.randint(0, coord_range)) for _ in range(n + 1)]
     travel = tuple(

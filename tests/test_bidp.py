@@ -59,6 +59,8 @@ class TestSolverConfig:
             SolverConfig(mode=EXACT, delta=0.01)
         with pytest.raises(ValueError):
             SolverConfig(theta=0.0)
+        with pytest.raises(ValueError, match="^mode must be 'exact' or 'heuristic'"):
+            SolverConfig(mode="fast")
 
     def test_percent_resolution(self):
         cfg = SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.01)

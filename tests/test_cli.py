@@ -391,6 +391,13 @@ class TestUnusableInput:
              "coord_range must be >= 0, got -2"),
             (["bench", "--n", "4", "--coord-range", "-2"],
              "coord_range must be >= 0, got -2"),
+            # Past 2^62 a rounded distance can leave the 64-bit range.
+            (["generate", "--n", "3", "--seed", "1", "--coord-range", str(10**20),
+              "-o", "{tmp}"],
+             f"coord_range must be <= 2**62, got {10**20}"),
+            (["bench", "--n", "3", "--coord-range", str(10**20), "--methods", "gid",
+              "--no-timing"],
+             f"coord_range must be <= 2**62, got {10**20}"),
             (["generate", "--subtree", "{star}", "--root", "1", "--family", "star",
               "--coord-range", "5", "-o", "{tmp}"],
              "generate --subtree takes no --coord-range or --family"),
@@ -431,6 +438,7 @@ class TestUnusableInput:
              "bench-labels-cap-without-bidp", "generate-root-without-subtree",
              "generate-subtree-with-n", "generate-subtree-with-seed",
              "generate-negative-coord-range", "bench-negative-coord-range",
+             "generate-huge-coord-range", "bench-huge-coord-range",
              "generate-subtree-with-family-and-coord-range",
              "generate-subtree-with-default-family", "bench-dir-with-generation-flags",
              "bench-dir-with-default-seed-and-coord-range",
@@ -516,6 +524,29 @@ class TestGenerate:
         made = inst_mod.load(out.strip())
         assert inst_mod.validate(made) == []
         assert made.name == "rand-n9-s2_sub4"
+
+    def test_name_that_is_not_a_file_name_stays_in_the_output_directory(
+        self, capsys, tmp_path
+    ):
+        data = json.loads(inst_mod.dumps(generate_random(6, seed=2)))
+        data["name"] = "../escaped"
+        (tmp_path / "esc.json").write_text(json.dumps(data))
+        (tmp_path / "outdir").mkdir()
+        base = str(tmp_path / "esc.json")
+        code, out, err = run_cli(capsys, ["generate", "--subtree", base, "--root", "2",
+                                          "-o", f"{tmp_path}/outdir/"])
+        assert code == 2
+        assert out == ""
+        assert "'../escaped_sub2' is not a file name; give -o FILE" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["esc.json", "outdir"]
+        assert list((tmp_path / "outdir").iterdir()) == []
+        # -o FILE writes to the path given.
+        target = tmp_path / "outdir" / "sub.json"
+        code, out, _ = run_cli(capsys, ["generate", "--subtree", base, "--root", "2",
+                                        "-o", str(target)])
+        assert code == 0
+        assert out.strip() == str(target)
+        assert inst_mod.load(target).name == "../escaped_sub2"
 
     def test_subtree_without_root_exits_2(self, capsys, tmp_path):
         base = inst_mod.save(generate_random(5, seed=2), tmp_path / "base.json")
@@ -665,6 +696,11 @@ class TestMipCommands:
              "r[3] must be a finite number, got '3'"),
             (lambda sol: {**sol, "t": [*sol["t"][:-1], float("inf")]},
              "t[4] must be a finite number, got inf"),
+            # Past the float range, not only inf: isfinite cannot convert these.
+            (lambda sol: {**sol, "t": [*sol["t"][:2], 10**400, *sol["t"][3:]]},
+             f"t[2] must be a finite number, got {10**400}"),
+            (lambda sol: {**sol, "x": _dense(sol["x"], 2, 10**400)},
+             f"x[2][2] must be a finite number, got {10**400}"),
             # Past n = 1 a 5x5 x is a matrix whatever its diagonal holds.
             (lambda sol: {**sol, "x": _dense(sol["x"], 2, 1)},
              "x[2][2] must be 0, got 1: the model has no arc from a vertex to itself"),
@@ -678,6 +714,7 @@ class TestMipCommands:
         ],
         ids=["missing-t", "arc-out-of-range", "arc-not-a-pair", "float-arc",
              "top-level-list", "bool-time", "string-disruption", "infinite-time",
+             "time-past-float-range", "dense-x-past-float-range",
              "dense-x-loop", "dense-x-small-loop", "no-instance", "scalar-t",
              "scalar-x"],
     )

@@ -257,6 +257,13 @@ class TestGenerators:
             for j in range(10):
                 assert inst.travel[i][j] == inst.travel[j][i]
 
+    def test_coord_range_keeps_travel_in_64_bits(self):
+        # At 2^62 every rounded distance fits; one more is refused.
+        for seed in range(20):
+            assert validate(generate_random(5, seed, 2**62)) == []
+        with pytest.raises(ValueError, match="coord_range must be <= 2"):
+            generate_random(5, 1, 2**62 + 1)
+
     def test_determinism(self):
         a = inst_mod.dumps(generate_random(7, seed=11))
         b = inst_mod.dumps(generate_random(7, seed=11))
