@@ -14,11 +14,13 @@ carried: n at the depot, and a child ending at v has its parent's w minus
 newly_lit(v, mask) of power_eval.make_newly_lit.
 
 New labels are screened by the walk-relaxation bound of bounds.WalkTable
-against the incumbent upper bound ub: the better of two local-search
-descents (heuristics.descent), one from each greedy tour, at the start,
-then refreshed after each level but the last from the UB_REFRESH_WIDTH (32)
-best labels. A label reaching level k+1 survives when its bound is at most
-(theta + k * delta) times ub. That threshold is one integer cut per level,
+against the incumbent upper bound ub: at the start, the better of two
+local-search descents (heuristics.best_descent), one from each greedy tour,
+where the second stops once it reaches a local optimum the first proved;
+then lowered after each level but the last by the UB_REFRESH_WIDTH (32)
+best labels' completions, when one beats it. A label reaching level k+1
+survives when its bound is at most (theta + k * delta) times ub. That
+threshold is one integer cut per level,
 
     cut = (theta_pct + k * delta_pct) * ub // 100
 
@@ -50,11 +52,13 @@ accounts for all n - k candidates of every parent.
 The refresh completes each of the best labels nearest-first, the rule of
 heuristics.greedy_complete, and scores the completion on the leg sum from
 the label's value, mask, endpoint and w, stepping w leg by leg, and
-drops it once it reaches the level's best. Only the level's winner is
-built by greedy_complete, whose evaluate_route objective must equal the
-score; it replaces the incumbent when strictly better. Labels are ranked
-as tuples (value, mask, endpoint), so a value tie never falls to the order
-candidates were generated in.
+drops it once it reaches ub or the level's best so far. So a winner is
+strictly better than the incumbent, and a level without one builds
+nothing. Only a winner is built by greedy_complete, whose evaluate_route
+objective must equal the score, and it becomes the incumbent. Labels are
+ranked as tuples (value, mask, endpoint), so a value tie never falls to the
+order candidates were generated in. The nearest-first start tour is
+greedy_complete of the empty prefix.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -72,12 +76,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .bounds import build_walk_table
 from .errors import EngineLimitError
-from .heuristics import (
-    descent,
-    greedy_complete,
-    greedy_distance,
-    greedy_priority_distance,
-)
+from .heuristics import best_descent, greedy_complete, greedy_priority_distance
 from .instance import Instance, Route
 from .power_eval import (
     PrecedenceIndex,
@@ -227,17 +226,17 @@ def solve(
     full = (1 << n) - 1
     newly_lit = make_newly_lit(index)
 
-    # The incumbent: a descent from each greedy tour, the better one
-    # (objective, then order) kept.
-    incumbent = min(
+    # The incumbent: the better (objective, then order) descent from the
+    # two greedy tours. The nearest-first one is the empty prefix's
+    # completion, by the rule the refresh also uses.
+    incumbent = best_descent(
+        instance,
+        index,
         (
-            descent(instance, index, greedy.order, deadline)
-            for greedy in (
-                greedy_distance(instance, index),
-                greedy_priority_distance(instance, index),
-            )
+            greedy_complete(instance, index, ()).order,
+            greedy_priority_distance(instance, index).order,
         ),
-        key=lambda rt: (rt.objective, rt.order),
+        deadline,
     )
     ub = incumbent.objective
     inc_order = incumbent.order
@@ -261,6 +260,8 @@ def solve(
     frontier: Dict[int, Label] = {0: (0, 0, 0, None, n)}
 
     labels_cap = cfg.labels_cap
+    # With neither limit set, no parent needs limit_reached.
+    limited = labels_cap is not None or deadline is not None
 
     def limit_reached(labels):
         """True once labels exceed the cap or the deadline has passed;
@@ -296,7 +297,7 @@ def solve(
         created = dominated = expanded = 0
         nxt: Dict[int, Label] = {}
         for lab in frontier.values():
-            if limit_reached(labels_total + created):
+            if limited and limit_reached(labels_total + created):
                 break
             expanded += 1
             value, mask, endpoint, _, w = lab
@@ -367,8 +368,9 @@ def solve(
         # Refresh the incumbent from the best new labels, compared as
         # tuples (with dominance off, equal (value, mask, endpoint) falls to
         # the parents): score each nearest-first completion, stopping once
-        # it reaches the level's best.
-        best_cost, winner = math.inf, None
+        # it reaches ub or the level's best, so only a completion that
+        # beats the incumbent can win.
+        best_cost, winner = ub, None
         for lab in heapq.nsmallest(UB_REFRESH_WIDTH, frontier.values()):
             cost, mask, cur, _, w = lab
             while mask != full and cost < best_cost:
@@ -382,17 +384,16 @@ def solve(
             if cost < best_cost:
                 best_cost, winner = cost, lab
         if winner is not None:
-            # Only the winner is built and evaluated, which cross-checks
-            # the score against evaluate_route.
+            # Only a winner is built and evaluated, which cross-checks the
+            # score against evaluate_route, and it becomes the incumbent.
             route = greedy_complete(instance, index, _forward_order(winner))
             if route.objective != best_cost:
                 raise RuntimeError(
                     "internal error: scored completion does not re-evaluate "
                     f"({best_cost} vs {route.objective})"
                 )
-            if route.objective < ub:
-                ub = route.objective
-                inc_order = route.order
+            ub = route.objective
+            inc_order = route.order
 
         u_trajectory.append(ub)
         if not frontier:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance, Route
 from .power_eval import (
@@ -128,7 +128,7 @@ def _first_improving_move(
     order, masks, dark, pre, legs, travel, cols, newly_lit, table, deadline
 ):
     """The first move of table that lowers the objective, as (first, end,
-    window) to write over order[first:end], or None when none does or
+    window) to write over order[first:end]; None when none does, and ()
     when time.perf_counter() passes deadline, read before every move.
 
     A move improves iff its window and the exit leg out of it cost less
@@ -175,7 +175,7 @@ def _first_improving_move(
                 acc += d * legs[p]
             for b in lefts:
                 if deadline is not None and time.perf_counter() > deadline:
-                    return None
+                    return ()
                 cost = (pre[b] + dark[b] * to_head[order[b - 1]]
                         + lit[b] * from_tail[order[b]] + after[b])
                 if cost < limit:
@@ -195,7 +195,7 @@ def _first_improving_move(
                 block += d * legs[p]
             for j in range(rights.start + size, rights.stop + size):
                 if deadline is not None and time.perf_counter() > deadline:
-                    return None
+                    return ()
                 mask = masks[j] ^ segbits
                 d -= newly_lit(order[j - 1], mask)
                 cost = block + d * to_head[order[j - 1]] + dark[j] * from_tail[order[j]]
@@ -211,7 +211,7 @@ def _first_improving_move(
                 block += d * legs[j]
     for first, end, positions in windows:
         if deadline is not None and time.perf_counter() > deadline:
-            return None
+            return ()
         limit = pre[end + 1]
         prev = order[first - 1]
         cost = pre[first] + dark[end] * travel[order[positions[-1]]][order[end]]
@@ -234,6 +234,7 @@ def descent(
     index: PrecedenceIndex,
     start: Sequence[int],
     deadline: Optional[float] = None,
+    proved: Optional[Dict[Tuple[int, ...], Route]] = None,
 ) -> Route:
     """First-improvement descent from a full order over the moves of
     _move_table.
@@ -253,6 +254,12 @@ def descent(
     raised. When time.perf_counter()
     passes deadline, checked before every move, the best order so far is
     returned; a deadline already past returns the start.
+
+    proved, when given, maps local optima to their routes, keyed by the
+    order with its sentinel. Before each scan the descent looks its order
+    up there and, once it finds it, returns that route: the scan would find
+    no improving move again. A descent whose last scan found no improving
+    move adds its result; one the deadline stopped adds nothing.
 
     Raises ValueError, before any move, when start is not a permutation
     of 1..n or the instance still has repair durations.
@@ -289,10 +296,35 @@ def descent(
                 f"objective from {objective} to {pre[n]}"
             )
         objective = pre[n]
+        if proved:
+            known = proved.get(tuple(order))
+            if known is not None:
+                return known
         move = _first_improving_move(
             order, masks, dark, pre, legs, travel, cols, newly_lit, table, deadline
         )
-        if move is None:
-            return evaluate_route(instance, index, order[:n])
+        if not move:
+            route = evaluate_route(instance, index, order[:n])
+            # None: no move improves; (): the deadline passed mid-scan.
+            if move is None and proved is not None:
+                proved[tuple(order)] = route
+            return route
         first, end, window = move
         order[first:end] = window
+
+
+def best_descent(
+    instance: Instance,
+    index: PrecedenceIndex,
+    starts: Sequence[Sequence[int]],
+    deadline: Optional[float] = None,
+) -> Route:
+    """The least (objective, order) of a descent from each start, run in
+    turn. They share the local optima they prove, so a descent that reaches
+    one an earlier descent proved stops there without scanning it again.
+    """
+    proved: Dict[Tuple[int, ...], Route] = {}
+    return min(
+        (descent(instance, index, start, deadline, proved) for start in starts),
+        key=lambda rt: (rt.objective, rt.order),
+    )

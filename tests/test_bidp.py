@@ -331,17 +331,17 @@ class TestSolveVariants:
         config = SolverConfig(mode=mode, time_limit=10.0)
         full = solve(inst, config)
         # Level n expands one parent per label of level n - 1, each after
-        # one clock read, once the refresh after level n - 1 has built its
-        # winner. The clock passes the deadline from the read after the
-        # last of those on: only once every label of level n has been
-        # built.
+        # one clock read, once the refresh after level n - 1 has ranked its
+        # labels; each refresh ranks them by one nsmallest call. The clock
+        # passes the deadline from the read after the last of those on:
+        # only once every label of level n has been built.
         parents = full.stats["levels"][-2]["fwd_created"]
         clock = {"refreshes": 0, "reads": 0}
-        real_complete = bidp.greedy_complete
+        real_nsmallest = bidp.heapq.nsmallest
 
-        def counted_complete(*args):
+        def counted_nsmallest(*args):
             clock["refreshes"] += 1
-            return real_complete(*args)
+            return real_nsmallest(*args)
 
         def perf_counter():
             if clock["refreshes"] < inst.n - 1:
@@ -350,7 +350,7 @@ class TestSolveVariants:
             return 1e9 if clock["reads"] > parents else 0.0
 
         with monkeypatch.context() as m:
-            m.setattr(bidp, "greedy_complete", counted_complete)
+            m.setattr(bidp.heapq, "nsmallest", counted_nsmallest)
             m.setattr(bidp.time, "perf_counter", perf_counter)
             report = solve(inst, config)
         assert clock["reads"] > parents
@@ -432,26 +432,52 @@ class TestBoundCut:
 
 class TestIncumbentRefresh:
     # The incumbent after the descents and after each level, on instances
-    # where the refresh's completions lower it.
-    @pytest.mark.parametrize(
-        "inst, config, trajectory, result",
+    # where the refresh's completions lower it, and the objective of each
+    # completion that did.
+    CASES = pytest.mark.parametrize(
+        "inst, config, trajectory, drops, result",
         [
             (generate_random(9, seed=10), SolverConfig(),
              [14143, 14143, 13900, 13900, 13900, 13900, 13514, 13514, 13514, 13514],
-             (13514, (2, 5, 4, 8, 1, 9, 7, 3, 6))),
+             [13900, 13514], (13514, (2, 5, 4, 8, 1, 9, 7, 3, 6))),
             (generate_random(9, seed=10), SolverConfig(mode=HEURISTIC, theta=0.8),
              [14143, 14143, 13900, 13900, 13900, 13900, 13900],
-             (13900, (2, 5, 4, 8, 1, 3, 9, 7, 6))),
+             [13900], (13900, (2, 5, 4, 8, 1, 3, 9, 7, 6))),
             (generate_star_reduction(generate_random(9, seed=13).travel),
              SolverConfig(), [14293] + [14046] * 9,
-             (14046, (7, 5, 4, 6, 1, 2, 3, 8, 9))),
+             [14046], (14046, (7, 5, 4, 6, 1, 2, 3, 8, 9))),
         ],
         ids=["exact", "theta-0.8", "star-exact"],
     )
-    def test_trajectory_is_pinned(self, inst, config, trajectory, result):
+
+    @CASES
+    def test_trajectory_is_pinned(self, inst, config, trajectory, drops, result):
         report = solve(inst, config)
         assert report.stats["u_trajectory"] == trajectory
         assert (report.objective, report.route.order) == result
+
+    @CASES
+    def test_only_a_completion_that_lowers_the_incumbent_is_built(
+        self, monkeypatch, inst, config, trajectory, drops, result
+    ):
+        # greedy_complete builds the nearest-first start tour, then one
+        # completion per refresh that lowers the incumbent: a winner's
+        # scoring must beat ub, so a refresh that cannot win builds none.
+        built = []
+        real_complete = bidp.greedy_complete
+
+        def recording_complete(instance, index, prefix):
+            route = real_complete(instance, index, prefix)
+            built.append((tuple(prefix), route.objective))
+            return route
+
+        monkeypatch.setattr(bidp, "greedy_complete", recording_complete)
+        report = solve(inst, config)
+        assert report.stats["u_trajectory"] == trajectory
+        assert (report.objective, report.route.order) == result
+        assert len(built) == 1 + len(drops)
+        assert built[0][0] == ()
+        assert [objective for _, objective in built[1:]] == drops
 
 
 class TestReportShape:

@@ -15,7 +15,7 @@ from prtrp import (
     make_instance,
 )
 from prtrp import heuristics
-from prtrp.heuristics import descent, greedy_incumbent
+from prtrp.heuristics import best_descent, descent, greedy_incumbent
 
 from helpers import plain_moves, reference_descent
 
@@ -261,6 +261,97 @@ class TestDescent:
         monkeypatch.setattr(heuristics, "_first_improving_move", rewrite_first_vertex)
         with pytest.raises(RuntimeError, match="internal error"):
             descent(inst, index, start)
+
+
+class TestDescentPair:
+    @staticmethod
+    def count_scans(monkeypatch):
+        scans = []
+        scan = heuristics._first_improving_move
+
+        def recording_scan(order, *rest):
+            scans.append(tuple(order[:-1]))
+            return scan(order, *rest)
+
+        monkeypatch.setattr(heuristics, "_first_improving_move", recording_scan)
+        return scans
+
+    def test_a_proved_optimum_is_not_scanned_again(self, monkeypatch):
+        inst = generate_random(10, seed=1)
+        index = build_index(inst)
+        first_start = greedy_distance(inst, index).order
+        second_start = greedy_priority_distance(inst, index).order
+        scans = self.count_scans(monkeypatch)
+        alone = descent(inst, index, second_start)
+        alone_scans = len(scans)
+        proved = {}
+        first = descent(inst, index, first_start, proved=proved)
+        # Both descents end at the same local optimum, reached by moves.
+        assert alone.order == first.order
+        assert first.order not in (first_start, second_start)
+        assert proved == {(*first.order, 0): first}
+        scans.clear()
+        second = descent(inst, index, second_start, proved=proved)
+        assert len(scans) == alone_scans - 1
+        assert first.order not in scans
+        assert second == alone
+        assert best_descent(inst, index, (first_start, second_start)) == alone
+
+    def test_a_start_at_a_proved_optimum_is_not_scanned(self, monkeypatch):
+        # The priority-weighted tour is already the nearest-first tour's
+        # local optimum.
+        inst = generate_random(6, seed=1)
+        index = build_index(inst)
+        proved = {}
+        first = descent(inst, index, greedy_distance(inst, index).order,
+                        proved=proved)
+        start = greedy_priority_distance(inst, index).order
+        assert start == first.order
+        scans = self.count_scans(monkeypatch)
+        assert descent(inst, index, start, proved=proved) == first
+        assert scans == []
+
+    def test_an_order_the_deadline_cut_is_not_proved(self, monkeypatch):
+        inst = generate_random(10, seed=1)
+        index = build_index(inst)
+        start = greedy_distance(inst, index).order
+        # The clock is read before every move; it passes the deadline at
+        # read number `flip`, or never when flip is None.
+        clock = {"reads": 0, "flip": None}
+
+        def perf_counter():
+            clock["reads"] += 1
+            flip = clock["flip"]
+            return 1e9 if flip is not None and clock["reads"] >= flip else 0.0
+
+        monkeypatch.setattr(heuristics.time, "perf_counter", perf_counter)
+        full = descent(inst, index, start, deadline=1.0)
+        # At the last read the final scan has found no improving move yet,
+        # so the descent ends at the optimum without having proved it.
+        clock["reads"], clock["flip"] = 0, clock["reads"]
+        proved = {}
+        stopped = descent(inst, index, start, deadline=1.0, proved=proved)
+        assert stopped == full
+        assert proved == {}
+        # A later descent from that order scans it once, and proves it.
+        clock["flip"] = None
+        scans = self.count_scans(monkeypatch)
+        assert descent(inst, index, stopped.order, proved=proved) == full
+        assert scans == [full.order]
+        assert proved == {(*full.order, 0): full}
+
+    def test_the_pair_is_the_better_of_two_lone_descents(self):
+        for k in range(40):
+            n = 4 + k % 8
+            inst = generate_random(n, seed=1900 + k)
+            if k % 2:
+                inst = generate_star_reduction(inst.travel)
+            index = build_index(inst)
+            starts = (greedy_distance(inst, index).order,
+                      greedy_priority_distance(inst, index).order)
+            lone = [descent(inst, index, start) for start in starts]
+            assert best_descent(inst, index, starts) == \
+                min(lone, key=lambda rt: (rt.objective, rt.order)), k
 
 
 class TestMoves:
