@@ -102,7 +102,8 @@ Label = Tuple[int, int, int, Optional[tuple], int]
 
 # Columns of stats["levels"] the forward search never counts. They keep the
 # paper's position-threshold and backward counters because perfbench/run.py
-# reads them; level 1 overrides bwd_created with the n return legs.
+# reads them; level 1 overrides bwd_created with the n return legs, which
+# are never built and so not counted in labels_total.
 _UNCOUNTED = {
     "fwd_pruned_beta": 0,
     "bwd_created": 0,
@@ -124,6 +125,7 @@ class SolverConfig:
     use_dominance=False keys every label apart, the unpruned reference
     search acceptance criterion 6 compares against. labels_cap and
     time_limit (seconds, 0 allowed) stop the search; None means no limit.
+    The cap is compared with the labels built, the depot label included.
     Both are read before every parent label and between levels, never
     after the last one (see solve).
     The incumbent refresh is not a knob: it completes a fixed
@@ -196,16 +198,17 @@ def solve(
     """Run the label search on a zero-duration instance.
 
     Exact mode returns a provably optimal route. Heuristic mode returns the
-    best route found with proven_optimal False. The label cap and the
-    deadline are read before every parent label is expanded and between
-    levels, so a capped run overshoots the cap by at most one parent's
-    children (fewer than n labels). A passed time limit falls back to the
-    incumbent, the descents' best tour or a better greedy completion; so
-    does a passed label cap in heuristic mode, while exact mode raises
-    EngineLimitError. Neither limit is read once the last level is fully
-    built, so a finished search returns its result under both. The
-    descents stop at the deadline too, so at time_limit=0 the incumbent is
-    the better greedy tour.
+    best route found with proven_optimal False. The label cap is compared
+    with stats["labels_total"], the labels built: the depot label and each
+    level's new ones. It and the deadline are read before every parent
+    label is expanded and between levels, so a capped run overshoots the
+    cap by at most one parent's children (fewer than n labels). A passed
+    time limit falls back to the incumbent, the descents' best tour or a
+    better greedy completion; so does a passed label cap in heuristic mode,
+    while exact mode raises EngineLimitError. Neither limit is read once
+    the last level is fully built, so a finished search returns its result
+    under both. The descents stop at the deadline too, so at time_limit=0
+    the incumbent is the better greedy tour.
     """
     cfg = config or SolverConfig()
     n = instance.n
@@ -260,27 +263,24 @@ def solve(
     frontier: Dict[int, Label] = {0: (0, 0, 0, None, n)}
 
     labels_cap = cfg.labels_cap
-    # With neither limit set, no parent needs limit_reached.
+    # With neither limit set, no parent needs stop_reason.
     limited = labels_cap is not None or deadline is not None
 
-    def limit_reached(labels):
-        """True once labels exceed the cap or the deadline has passed;
-        records which in cap_hit / timed_out."""
-        nonlocal cap_hit, timed_out
+    def stop_reason(labels):
+        """Why the search stops with this many labels built: "labels_cap"
+        once they exceed the cap, else "time_limit" once the deadline has
+        passed, else None."""
         if labels_cap is not None and labels > labels_cap:
-            cap_hit = True
-        elif deadline is not None and time.perf_counter() > deadline:
-            timed_out = True
-        return cap_hit or timed_out
+            return "labels_cap"
+        if deadline is not None and time.perf_counter() > deadline:
+            return "time_limit"
+        return None
 
-    # The n return legs into the depot are reported as level 1's backward
-    # labels. labels_total also counts the depot label once per direction.
-    return_legs = {**_UNCOUNTED, "bwd_created": n}
-    labels_total = 2 + n
+    # The labels built: the depot label, then each level's new ones.
+    labels_total = 1
     level_stats: List[Dict[str, int]] = []
     u_trajectory = [ub]
-    timed_out = False
-    cap_hit = False
+    stop = None
 
     for level in range(n):
         # The level's acceptance threshold and the walk bound's rows for
@@ -297,7 +297,7 @@ def solve(
         created = dominated = expanded = 0
         nxt: Dict[int, Label] = {}
         for lab in frontier.values():
-            if limited and limit_reached(labels_total + created):
+            if limited and (stop := stop_reason(labels_total + created)):
                 break
             expanded += 1
             value, mask, endpoint, _, w = lab
@@ -351,14 +351,14 @@ def solve(
             "fwd_created": created,
             "fwd_dominated": dominated,
             "fwd_pruned_bound": pruned_bound,
-            **(return_legs if level == 0 else _UNCOUNTED),
+            **(_UNCOUNTED if level else {**_UNCOUNTED, "bwd_created": n}),
         })
         # A fully built last level is the finished search: no limit is read
         # after it, so a cap or deadline crossed by its final labels cannot
         # discard it. Its labels are complete tours, so the final pick, not a
         # refresh, compares them, and that pick's result ends u_trajectory.
-        if cap_hit or timed_out or level + 1 == n or limit_reached(labels_total):
-            if cap_hit and cfg.mode == EXACT:
+        if stop or level + 1 == n or (stop := stop_reason(labels_total)):
+            if stop == "labels_cap" and cfg.mode == EXACT:
                 raise EngineLimitError(
                     f"label cap {labels_cap} exceeded at level {level + 1} "
                     f"({labels_total} labels); raise the cap or use heuristic mode"
@@ -405,7 +405,7 @@ def solve(
     # depot costs nothing, so its value is the tour's. The result is the
     # least (objective, order) among these tours and the incumbent.
     tours = []
-    if not timed_out and not cap_hit:
+    if stop is None:
         tours = [(lab[0], _forward_order(lab)) for lab in frontier.values()]
         if cfg.mode == EXACT:
             if not tours:
@@ -415,7 +415,7 @@ def solve(
                     "internal error: exact search ended worse than the incumbent"
                 )
     final_obj, final_order = min([(ub, inc_order), *tours])
-    if len(level_stats) == n and not timed_out and not cap_hit:
+    if len(level_stats) == n and stop is None:
         u_trajectory.append(final_obj)
 
     route = evaluate_route(instance, index, final_order)
@@ -436,11 +436,11 @@ def solve(
         "levels": level_stats,
         "labels_total": labels_total,
         "join_candidates": len(tours),
-        "time_limit_reached": timed_out,
-        "labels_cap_reached": cap_hit,
+        "time_limit_reached": stop == "time_limit",
+        "labels_cap_reached": stop == "labels_cap",
         "wall_time_sec": wall,
     }
-    proven = cfg.mode == EXACT and not timed_out and not cap_hit
+    proven = cfg.mode == EXACT and stop is None
     return SolveReport(
         route=route, objective=route.objective, proven_optimal=proven, stats=stats
     )

@@ -458,11 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_limit_flags(p):
         p.add_argument("--labels-cap", type=int, default=None, dest="labels_cap",
-                       help="abort when the label store exceeds this size")
+                       help="bidp only: stop once more than this many labels are "
+                       "built; exact mode exits 3, theta/delta mode returns "
+                       "the incumbent")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
                        help="seconds before falling back to the incumbent")
         p.add_argument("--no-timing", action="store_true", dest="no_timing",
                        help="omit wall times for byte-stable output")
+
+    def add_family_flags(p):
+        p.add_argument("--coord-range", type=int, default=None, dest="coord_range",
+                       help="coordinate range (default 1000)")
+        p.add_argument("--family", default=None, choices=["uniform", "star"],
+                       help="power tree shape (default uniform)")
 
     p_solve = sub.add_parser("solve", help="solve one instance")
     p_solve.add_argument("instance")
@@ -483,10 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--count", type=int, default=None,
                          help="instances per size (default 1)")
     p_bench.add_argument("--seed", type=int, default=None, help="base seed (default 0)")
-    p_bench.add_argument("--coord-range", type=int, default=None, dest="coord_range",
-                         help="coordinate range (default 1000)")
-    p_bench.add_argument("--family", default=None, choices=["uniform", "star"],
-                         help="power tree shape (default uniform)")
+    add_family_flags(p_bench)
     p_bench.add_argument("--methods", default="gid,gipd,bidp",
                          help="comma list; bidp accepts bidp:THETA:DELTA")
     add_limit_flags(p_bench)
@@ -495,10 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("generate", help="write instance files")
     p_gen.add_argument("--n", type=int, default=None)
     p_gen.add_argument("--seed", type=int, default=None)
-    p_gen.add_argument("--coord-range", type=int, default=None, dest="coord_range",
-                       help="coordinate range (default 1000)")
-    p_gen.add_argument("--family", default=None, choices=["uniform", "star"],
-                       help="power tree shape (default uniform)")
+    add_family_flags(p_gen)
     p_gen.add_argument("--subtree", default=None,
                        help="base instance file to cut a subtree from")
     p_gen.add_argument("--root", type=int, default=None,

@@ -12,12 +12,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance, Route
-from .power_eval import (
-    PrecedenceIndex,
-    check_partial,
-    evaluate_route,
-    make_newly_lit,
-)
+from .power_eval import PrecedenceIndex, evaluate_route, make_newly_lit
 
 
 def _greedy_extend(
@@ -75,8 +70,10 @@ def greedy_complete(
     instance: Instance, index: PrecedenceIndex, prefix: Sequence[int]
 ) -> Route:
     """Complete a duplicate-free outgoing prefix by the nearest-first rule."""
-    check_partial(instance.n, prefix)
-    order = _greedy_extend(instance, prefix, (1,) * (instance.n + 1))
+    n = instance.n
+    if len(set(prefix)) < len(prefix) or not all(1 <= v <= n for v in prefix):
+        raise ValueError(f"path is not duplicate-free over 1..{n}: {tuple(prefix)}")
+    order = _greedy_extend(instance, prefix, (1,) * (n + 1))
     return evaluate_route(instance, index, order)
 
 

@@ -103,15 +103,6 @@ def make_newly_lit(index: PrecedenceIndex) -> Callable[[int, int], int]:
     return newly_lit
 
 
-def check_partial(n: int, order: Sequence[int]) -> None:
-    """Reject a partial visiting order that repeats or leaves 1..n."""
-    seen = set()
-    for v in order:
-        if not 1 <= v <= n or v in seen:
-            raise ValueError(f"path is not duplicate-free over 1..{n}: {tuple(order)}")
-        seen.add(v)
-
-
 def evaluate_route(
     instance: Instance, index: PrecedenceIndex, order: Sequence[int]
 ) -> Route:

@@ -248,10 +248,11 @@ class TestSolveVariants:
     def test_labels_cap_stops_inside_a_level(self):
         inst = generate_random(14, seed=2700)
         full = solve(inst).stats["levels"]
-        created = [st["fwd_created"] + st["bwd_created"] for st in full]
-        # One label past level 4; level 5 expands over a thousand parents,
-        # so the cap is crossed long before that level ends.
-        cap = 2 + sum(created[:4]) + 1
+        created = [st["fwd_created"] for st in full]
+        # One label past level 4 (the depot label and the labels built by
+        # levels 1-4); level 5 expands over a thousand parents, so the cap
+        # is crossed long before that level ends.
+        cap = 1 + sum(created[:4]) + 1
         after_level_5 = cap - 1 + created[4]
         report = solve(inst, SolverConfig(mode=HEURISTIC, labels_cap=cap))
         levels = report.stats["levels"]
@@ -274,12 +275,12 @@ class TestSolveVariants:
 
     @pytest.mark.parametrize("mode", [EXACT, HEURISTIC])
     def test_cap_crossed_by_the_last_labels_keeps_the_search(self, mode):
-        # 28 labels in all; the last level's single label is the 28th, and
+        # 21 labels in all; the last level's single label is the 21st, and
         # no limit is read once it is built.
         inst = generate_random(6, seed=9)
-        report = solve(inst, SolverConfig(mode=mode, labels_cap=27))
+        report = solve(inst, SolverConfig(mode=mode, labels_cap=20))
         stats = report.stats
-        assert stats["labels_total"] == 28
+        assert stats["labels_total"] == 21
         assert len(stats["levels"]) == inst.n
         assert not stats["labels_cap_reached"]
         assert stats["join_candidates"] == stats["levels"][-1]["fwd_created"] > 0
@@ -287,15 +288,26 @@ class TestSolveVariants:
         assert report.proven_optimal == (mode == EXACT)
 
     def test_cap_crossed_inside_the_last_level_still_stops(self):
-        # 25 labels in all; the last level's single label comes from the
+        # 18 labels in all; the last level's single label comes from the
         # first of its two parents, so the cap is read again after it.
         inst = generate_random(6, seed=4)
-        assert solve(inst).stats["labels_total"] == 25
-        with pytest.raises(EngineLimitError, match=r"at level 6 \(25 labels\)"):
-            solve(inst, SolverConfig(labels_cap=24))
-        report = solve(inst, SolverConfig(mode=HEURISTIC, labels_cap=24))
+        assert solve(inst).stats["labels_total"] == 18
+        with pytest.raises(EngineLimitError, match=r"at level 6 \(18 labels\)"):
+            solve(inst, SolverConfig(labels_cap=17))
+        report = solve(inst, SolverConfig(mode=HEURISTIC, labels_cap=17))
         assert report.stats["labels_cap_reached"]
         assert report.stats["join_candidates"] == 0
+
+    def test_cap_counts_only_the_labels_built(self):
+        # The cap is compared with the depot label plus the labels built,
+        # so a cap of 6 at n = 6 still lets level 1 build its labels; the
+        # n return legs reported at level 1 are not counted.
+        inst = generate_random(6, seed=1)
+        stats = solve(inst, SolverConfig(mode=HEURISTIC, labels_cap=6)).stats
+        assert stats["labels_cap_reached"]
+        assert stats["levels"][0]["fwd_created"] > 0
+        assert stats["labels_total"] == \
+            1 + sum(st["fwd_created"] for st in stats["levels"])
 
     def test_time_limit_stops_inside_a_level(self, monkeypatch, expansions):
         inst = generate_random(14, seed=2700)
@@ -535,6 +547,6 @@ class TestReportShape:
                             "bwd_pruned_beta")
             )
             assert stats["labels_total"] == \
-                2 + 10 + sum(st["fwd_created"] for st in levels)
+                1 + sum(st["fwd_created"] for st in levels)
             assert stats["join_candidates"] == levels[-1]["fwd_created"]
             assert report.objective == 16115
