@@ -16,9 +16,10 @@ newly_lit(v, mask) of power_eval.make_newly_lit.
 New labels are screened by the walk-relaxation bound of bounds.WalkTable
 against the incumbent upper bound ub: at the start, the better of two
 local-search descents (heuristics.best_descent), one from each greedy tour,
-where the second stops once it reaches a local optimum the first proved;
-then lowered after each level but the last by the UB_REFRESH_WIDTH (32)
-best labels' completions, when one beats it. A label reaching level k+1
+where the second stops once it reaches a local optimum the first proved.
+Exact mode keeps that incumbent until the final pick. Heuristic mode lowers
+it after each level but the last by the UB_REFRESH_WIDTH (32) best
+labels' completions, when one beats it. A label reaching level k+1
 survives when its bound is at most (theta + k * delta) times ub. That
 threshold is one integer cut per level,
 
@@ -49,16 +50,20 @@ after v is at least r, and every later vertex is at least as far. The
 vertices never reached count as pruned by the bound, so each level still
 accounts for all n - k candidates of every parent.
 
-The refresh completes each of the best labels nearest-first, the rule of
-heuristics.greedy_complete, and scores the completion on the leg sum from
-the label's value, mask, endpoint and w, stepping w leg by leg, and
-drops it once it reaches ub or the level's best so far. So a winner is
-strictly better than the incumbent, and a level without one builds
-nothing. Only a winner is built by greedy_complete, whose evaluate_route
-objective must equal the score, and it becomes the incumbent. Labels are
-ranked as tuples (value, mask, endpoint), so a value tie never falls to the
-order candidates were generated in. The nearest-first start tour is
-greedy_complete of the empty prefix.
+Heuristic mode's refresh completes each of the best labels nearest-first,
+the rule of heuristics.greedy_complete, and scores the completion on the
+leg sum from the label's value, mask, endpoint and w, stepping w leg by
+leg, and drops it once it reaches ub or the level's best so far. So a
+winner is strictly better than the incumbent, and a level without one
+builds nothing. Only a winner is built by greedy_complete, whose
+evaluate_route objective must equal the score, and it becomes the
+incumbent. Labels are ranked as tuples (value, mask, endpoint), so a value
+tie never falls to the order candidates were generated in. Exact mode runs
+no refresh: there it barely pruned (on the benchmark's small-batch pool,
+473 more labels of 40,330 without it, and no result moved) at about the
+cost of the search itself. Its u_trajectory stays at the start incumbent
+until the final pick. The nearest-first start tour is greedy_complete of
+the empty prefix.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -88,7 +93,8 @@ from .power_eval import (
 EXACT = "exact"
 HEURISTIC = "heuristic"
 
-# Best labels greedily completed after each level but the last.
+# Best labels greedily completed after each level but the last, in
+# heuristic mode only; exact mode keeps its start incumbent.
 UB_REFRESH_WIDTH = 32
 
 # Masks are machine words with bit v-1 per vertex; 6 low bits of a store key
@@ -128,8 +134,10 @@ class SolverConfig:
     The cap is compared with the labels built, the depot label included.
     Both are read before every parent label and between levels, never
     after the last one (see solve).
-    The incumbent refresh is not a knob: it completes a fixed
-    UB_REFRESH_WIDTH (32) best labels after each level but the last.
+    The incumbent refresh is not a knob: heuristic mode completes a fixed
+    UB_REFRESH_WIDTH (32) best labels after each level but the last, and
+    exact mode runs none, keeping its start incumbent until the final pick
+    (stats["u_trajectory"] is flat until its last entry).
     """
 
     mode: str = EXACT
@@ -203,12 +211,12 @@ def solve(
     level's new ones. It and the deadline are read before every parent
     label is expanded and between levels, so a capped run overshoots the
     cap by at most one parent's children (fewer than n labels). A passed
-    time limit falls back to the incumbent, the descents' best tour or a
-    better greedy completion; so does a passed label cap in heuristic mode,
-    while exact mode raises EngineLimitError. Neither limit is read once
-    the last level is fully built, so a finished search returns its result
-    under both. The descents stop at the deadline too, so at time_limit=0
-    the incumbent is the better greedy tour.
+    time limit falls back to the incumbent, the descents' best tour (or, in
+    heuristic mode, a better greedy completion); so does a passed label cap
+    in heuristic mode, while exact mode raises EngineLimitError. Neither
+    limit is read once the last level is fully built, so a finished search
+    returns its result under both. The descents stop at the deadline too,
+    so at time_limit=0 the incumbent is the better greedy tour.
     """
     cfg = config or SolverConfig()
     n = instance.n
@@ -365,35 +373,39 @@ def solve(
                 )
             break
 
-        # Refresh the incumbent from the best new labels, compared as
-        # tuples (with dominance off, equal (value, mask, endpoint) falls to
-        # the parents): score each nearest-first completion, stopping once
-        # it reaches ub or the level's best, so only a completion that
-        # beats the incumbent can win.
-        best_cost, winner = ub, None
-        for lab in heapq.nsmallest(UB_REFRESH_WIDTH, frontier.values()):
-            cost, mask, cur, _, w = lab
-            while mask != full and cost < best_cost:
-                for d, v, low in nearest[cur]:
-                    if not mask & low:
-                        break
-                cost += w * d
-                mask |= low
-                w -= newly_lit(v, mask)
-                cur = v
-            if cost < best_cost:
-                best_cost, winner = cost, lab
-        if winner is not None:
-            # Only a winner is built and evaluated, which cross-checks the
-            # score against evaluate_route, and it becomes the incumbent.
-            route = greedy_complete(instance, index, _forward_order(winner))
-            if route.objective != best_cost:
-                raise RuntimeError(
-                    "internal error: scored completion does not re-evaluate "
-                    f"({best_cost} vs {route.objective})"
+        # Heuristic mode refreshes the incumbent from the best new labels,
+        # compared as tuples (with dominance off, equal (value, mask,
+        # endpoint) falls to the parents): score each nearest-first
+        # completion, stopping once it reaches ub or the level's best, so
+        # only a completion that beats the incumbent can win. Exact mode
+        # keeps its start incumbent, which the refresh barely lowered.
+        if cfg.mode == HEURISTIC:
+            best_cost, winner = ub, None
+            for lab in heapq.nsmallest(UB_REFRESH_WIDTH, frontier.values()):
+                cost, mask, cur, _, w = lab
+                while mask != full and cost < best_cost:
+                    for d, v, low in nearest[cur]:
+                        if not mask & low:
+                            break
+                    cost += w * d
+                    mask |= low
+                    w -= newly_lit(v, mask)
+                    cur = v
+                if cost < best_cost:
+                    best_cost, winner = cost, lab
+            if winner is not None:
+                # Only a winner is built and evaluated, which cross-checks
+                # the score against evaluate_route; it becomes the incumbent.
+                route = greedy_complete(
+                    instance, index, _forward_order(winner)
                 )
-            ub = route.objective
-            inc_order = route.order
+                if route.objective != best_cost:
+                    raise RuntimeError(
+                        "internal error: scored completion does not "
+                        f"re-evaluate ({best_cost} vs {route.objective})"
+                    )
+                ub = route.objective
+                inc_order = route.order
 
         u_trajectory.append(ub)
         if not frontier:

@@ -204,6 +204,10 @@ def cmd_bench(args) -> int:
     # once: a bad one is an input error, not a failure of each row.
     _solver_config(args, "bidp")
     names = args.methods.split(",")
+    if "" in names:
+        raise ValueError(
+            f"empty method token '' in --methods {args.methods!r}"
+        )
     for t in names:
         if names.count(t) > 1:
             raise ValueError(f"method token {t!r} given more than once")
@@ -424,10 +428,23 @@ def cmd_check_mip(args) -> int:
     return EXIT_OK if res.feasible else EXIT_FAILURE
 
 
+def _parse_order(text: str) -> List[int]:
+    """The vertices of an --order comma list, each written in ASCII digits
+    alone: no sign, space, underscore or other script's digit."""
+    entries = text.split(",")
+    for entry in entries:
+        if not (entry.isascii() and entry.isdigit()):
+            raise ValueError(
+                f"--order entry {entry!r} is not a vertex number in ASCII "
+                f"digits, got {text!r}"
+            )
+    return [int(entry) for entry in entries]
+
+
 def cmd_evaluate(args) -> int:
     inst = _load_instance(args.instance)
     work, index = _prepare(inst)
-    order = [int(v) for v in args.order.split(",")]
+    order = _parse_order(args.order)
     route = evaluate_route(work, index, order)
     print(
         json.dumps(

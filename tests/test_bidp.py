@@ -32,9 +32,10 @@ def expansions(monkeypatch):
     """Records the solver's newly_lit calls, in order, under the key
     "sizes": the number of vertices in each call's mask. A candidate that
     passes the first bound test with the source repaired makes one call,
-    its mask holding as many vertices as its level; each leg the incumbent
-    refresh scores makes one, its mask holding what is repaired by the
-    leg's end. A patched clock can read len(sizes) to pick its moment."""
+    its mask holding as many vertices as its level; each leg heuristic
+    mode's incumbent refresh scores makes one, its mask holding what is
+    repaired by the leg's end. A patched clock can read len(sizes) to pick
+    its moment."""
     record = {"sizes": []}
     real_factory = bidp.make_newly_lit
 
@@ -126,18 +127,17 @@ class TestSolveExact:
                 prev = vertex
 
     def test_every_label_carries_its_dark_count(self, star, monkeypatch):
-        # Each level's labels pass through the refresh's nsmallest; every
-        # label there, and every parent up its chain, must carry the dark
-        # count of its mask.
+        # The final pick reads each complete label's order, and every
+        # label there, and every parent up its chain (one per level), must
+        # carry the dark count of its mask.
         seen = []
-        real_nsmallest = bidp.heapq.nsmallest
+        real_order = bidp._forward_order
 
-        def recording_nsmallest(k, labels):
-            labels = list(labels)
-            seen.extend(labels)
-            return real_nsmallest(k, labels)
+        def recording_order(label):
+            seen.append(label)
+            return real_order(label)
 
-        monkeypatch.setattr(bidp.heapq, "nsmallest", recording_nsmallest)
+        monkeypatch.setattr(bidp, "_forward_order", recording_order)
         base = generate_random(9, seed=5)
         for inst in (star, base, generate_star_reduction(base.travel)):
             index = build_index(inst)
@@ -342,27 +342,32 @@ class TestSolveVariants:
         inst = generate_random(6, seed=3)
         config = SolverConfig(mode=mode, time_limit=10.0)
         full = solve(inst, config)
-        # Level n expands one parent per label of level n - 1, each after
-        # one clock read, once the refresh after level n - 1 has ranked its
-        # labels; each refresh ranks them by one nsmallest call. The clock
+        # Each level first takes its walk-bound row H[r], r being the legs
+        # left after it, so level n takes H[0]. It then expands one parent
+        # per label of level n - 1, each after one clock read. The clock
         # passes the deadline from the read after the last of those on:
         # only once every label of level n has been built.
         parents = full.stats["levels"][-2]["fwd_created"]
-        clock = {"refreshes": 0, "reads": 0}
-        real_nsmallest = bidp.heapq.nsmallest
+        clock = {"rows": [], "reads": 0}
+        real_table = bidp.build_walk_table
 
-        def counted_nsmallest(*args):
-            clock["refreshes"] += 1
-            return real_nsmallest(*args)
+        class Rows(tuple):
+            def __getitem__(self, r):
+                clock["rows"].append(r)
+                return tuple.__getitem__(self, r)
+
+        def recording_table(instance, index):
+            walks = real_table(instance, index)
+            return walks._replace(H=Rows(walks.H))
 
         def perf_counter():
-            if clock["refreshes"] < inst.n - 1:
+            if 0 not in clock["rows"]:
                 return 0.0
             clock["reads"] += 1
             return 1e9 if clock["reads"] > parents else 0.0
 
         with monkeypatch.context() as m:
-            m.setattr(bidp.heapq, "nsmallest", counted_nsmallest)
+            m.setattr(bidp, "build_walk_table", recording_table)
             m.setattr(bidp.time, "perf_counter", perf_counter)
             report = solve(inst, config)
         assert clock["reads"] > parents
@@ -373,9 +378,9 @@ class TestSolveVariants:
         assert report.proven_optimal == (mode == EXACT)
         assert (report.objective, report.route.order) == \
             (full.objective, full.route.order)
-        # One refresh after each level but the last, whose complete tours
-        # the final pick compares directly; its result ends the trajectory.
-        assert clock["refreshes"] == inst.n - 1
+        # Every level was entered once, and the final pick compares the
+        # last level's complete tours; its result ends the trajectory.
+        assert clock["rows"] == list(range(inst.n - 1, -1, -1))
         assert len(stats["u_trajectory"]) == inst.n + 1
         assert stats["u_trajectory"][-1] == report.objective
 
@@ -404,8 +409,8 @@ class TestBoundCut:
     # past the cut, so its 20-wide twin, whose many equal arcs make such
     # ties, is pinned as well.
     EXACT_LEVELS = [
-        (10, 0), (45, 45), (97, 241), (146, 466), (105, 701),
-        (65, 410), (26, 222), (9, 67), (2, 16), (1, 1),
+        (10, 0), (45, 45), (97, 241), (146, 466), (131, 654),
+        (94, 486), (39, 309), (16, 93), (7, 23), (3, 4),
     ]
     RELAXED_LEVELS = [
         (4, 6), (16, 20), (35, 93), (30, 210), (20, 152),
@@ -443,21 +448,22 @@ class TestBoundCut:
 
 
 class TestIncumbentRefresh:
-    # The incumbent after the descents and after each level, on instances
-    # where the refresh's completions lower it, and the objective of each
-    # completion that did.
+    # The incumbent after the descents and after each level, then the final
+    # pick's, and the objective of each refresh completion that lowered it.
+    # In heuristic mode the refresh lowers it on these instances; exact mode
+    # runs no refresh, so its incumbent stays flat until the final pick.
     CASES = pytest.mark.parametrize(
         "inst, config, trajectory, drops, result",
         [
             (generate_random(9, seed=10), SolverConfig(),
-             [14143, 14143, 13900, 13900, 13900, 13900, 13514, 13514, 13514, 13514],
-             [13900, 13514], (13514, (2, 5, 4, 8, 1, 9, 7, 3, 6))),
+             [14143] * 9 + [13514],
+             [], (13514, (2, 5, 4, 8, 1, 9, 7, 3, 6))),
             (generate_random(9, seed=10), SolverConfig(mode=HEURISTIC, theta=0.8),
              [14143, 14143, 13900, 13900, 13900, 13900, 13900],
              [13900], (13900, (2, 5, 4, 8, 1, 3, 9, 7, 6))),
             (generate_star_reduction(generate_random(9, seed=13).travel),
-             SolverConfig(), [14293] + [14046] * 9,
-             [14046], (14046, (7, 5, 4, 6, 1, 2, 3, 8, 9))),
+             SolverConfig(), [14293] * 9 + [14046],
+             [], (14046, (7, 5, 4, 6, 1, 2, 3, 8, 9))),
         ],
         ids=["exact", "theta-0.8", "star-exact"],
     )
@@ -490,6 +496,38 @@ class TestIncumbentRefresh:
         assert len(built) == 1 + len(drops)
         assert built[0][0] == ()
         assert [objective for _, objective in built[1:]] == drops
+
+    def test_only_heuristic_mode_refreshes(self, monkeypatch):
+        # Exact mode ranks no labels and builds only the start tour; a
+        # heuristic solve of the same instance ranks the labels after each
+        # level it builds but the last one of a finished search.
+        calls = {"nsmallest": 0, "complete": 0}
+        real_nsmallest = bidp.heapq.nsmallest
+        real_complete = bidp.greedy_complete
+
+        def counted_nsmallest(*args):
+            calls["nsmallest"] += 1
+            return real_nsmallest(*args)
+
+        def counted_complete(*args):
+            calls["complete"] += 1
+            return real_complete(*args)
+
+        monkeypatch.setattr(bidp.heapq, "nsmallest", counted_nsmallest)
+        monkeypatch.setattr(bidp, "greedy_complete", counted_complete)
+        relaxed = SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.01)
+        base = generate_random(10, seed=1)
+        for inst in (generate_random(9, seed=10), base,
+                     generate_star_reduction(base.travel)):
+            calls.update(nsmallest=0, complete=0)
+            report = solve(inst)
+            assert calls == {"nsmallest": 0, "complete": 1}, inst.name
+            trajectory = report.stats["u_trajectory"]
+            assert trajectory[:-1] == [trajectory[0]] * inst.n
+            calls.update(nsmallest=0, complete=0)
+            levels = solve(inst, relaxed).stats["levels"]
+            assert calls["nsmallest"] == min(len(levels), inst.n - 1) > 0
+            assert calls["complete"] >= 1
 
 
 class TestReportShape:

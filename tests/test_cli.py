@@ -334,6 +334,15 @@ class TestBench:
         assert code == 2
         assert "unknown method" in err
 
+    @pytest.mark.parametrize("methods", [",", "bidp,", "bidp,,gid"])
+    def test_empty_method_token_exits_2(self, capsys, methods):
+        code, out, err = run_cli(
+            capsys, ["bench", "--n", "4", "--seed", "1", "--methods", methods]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"empty method token '' in --methods {methods!r}" in err
+
 
 class TestUnusableInput:
     @pytest.mark.parametrize(
@@ -773,3 +782,20 @@ class TestEvaluate:
         code, _, err = run_cli(capsys, ["evaluate", star_file, "--order", "1,2"])
         assert code == 2
         assert "permutation" in err
+
+    @pytest.mark.parametrize(
+        "order, entry",
+        [("1,+2,3", "+2"), ("1, 2,3", " 2"), ("1,\u0662,3", "\u0662"),
+         ("1,2_0,3", "2_0"), ("1,x", "x"), ("1,2,3,", ""), ("-1,2,3", "-1")],
+        ids=["sign", "space", "arabic-indic-digit", "underscore", "letter",
+             "empty", "negative"],
+    )
+    def test_entry_not_in_ascii_digits_exits_2(self, capsys, star_file, order,
+                                               entry):
+        # int() would read the first four as 2, 2, 2 and 20.
+        code, out, err = run_cli(
+            capsys, ["evaluate", star_file, f"--order={order}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--order entry {entry!r} is not a vertex number" in err
