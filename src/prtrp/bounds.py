@@ -127,26 +127,37 @@ class WalkTable(NamedTuple):
     minout: Tuple[int, ...]
 
 
-def _one_leg_longer(travel, n: int, weight: int, walks):
+def _one_leg_longer(nearest, n: int, weight: int, walks):
     """Walks out of every vertex, one leg longer than `walks`.
 
     walks is (best, first, second) per vertex: the cheapest walk, its first
     stop, and the cheapest walk with another first stop. The new first leg
     v -> x costs weight * d(v, x) and continues with x's cheapest walk that
-    does not step straight back to v. O(n^2).
+    does not step straight back to v. nearest[v] lists (d(v, x), x) over
+    the other fault vertices x, sorted, so each row is scanned
+    nearest-first.
+
+    Every continuation costs at least floor, the least entry of best, so
+    once weight * d(v, x) + floor reaches the second-best cost b2 so far,
+    no x at least as far can undercut b2, and the row stops. The costs
+    equal those of a scan of the whole row in label order. Only the first
+    stop kept on a tie for the cheapest walk may differ, and it changes no
+    cost: the tie makes second equal to best, so the next round reads the
+    same continuation cost whichever stop is kept. O(n^2) at most.
     """
     best, first, second = walks
+    floor = min(best[1:])
     new_best = [0] * (n + 1)
     new_first = [0] * (n + 1)
     new_second = [_NO_WALK] * (n + 1)
     for v in range(1, n + 1):
-        row = travel[v]
         b1 = b2 = _NO_WALK
         f = 0
-        for x in range(1, n + 1):
-            if x == v:
-                continue
-            c = weight * row[x] + (second[x] if first[x] == v else best[x])
+        for dist, x in nearest[v]:
+            leg = weight * dist
+            if leg + floor >= b2:
+                break
+            c = leg + (second[x] if first[x] == v else best[x])
             if c < b1:
                 b1, b2, f = c, b1, x
             elif c < b2:
@@ -156,14 +167,21 @@ def _one_leg_longer(travel, n: int, weight: int, walks):
 
 
 def build_walk_table(instance: Instance, index: PrecedenceIndex) -> WalkTable:
-    """H, G and minout of the walk bound; O(n^3) exact integer work.
+    """H, G and minout of the walk bound; O(n^3) exact integer work at most.
 
     Walks of r <= n-1 legs always exist without a straight turn-back, so
-    every stored entry is a finite integer.
+    every stored entry is a finite integer. Each round scans the rows
+    nearest-first and stops a row once no farther first stop can lower
+    its best or second-best cost (_one_leg_longer), so the tables equal
+    those of a full scan of every row.
     """
     n = instance.n
     travel = instance.travel
     source = index.source
+    nearest = [()] + [
+        sorted((row[x], x) for x in range(1, n + 1) if x != v)
+        for v, row in enumerate(travel[1:], 1)
+    ]
     # First stop 0 marks the empty walk, which has no turn-back to avoid.
     h = ([0] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))
     g = ([_NO_WALK] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))
@@ -172,8 +190,8 @@ def build_walk_table(instance: Instance, index: PrecedenceIndex) -> WalkTable:
     H = [tuple(h[0])]
     G = [(0,) * (n + 1)]
     for r in range(1, n):
-        h = _one_leg_longer(travel, n, r, h)
-        g = _one_leg_longer(travel, n, n, g)
+        h = _one_leg_longer(nearest, n, r, h)
+        g = _one_leg_longer(nearest, n, n, g)
         for part, h_part in zip(g, h):
             part[source] = h_part[source]
         H.append(tuple(h[0]))

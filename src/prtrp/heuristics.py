@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import time
+from itertools import accumulate
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance, Route
@@ -126,7 +128,8 @@ def _first_improving_move(
 ):
     """The first move of table that lowers the objective, as (first, end,
     window) to write over order[first:end]; None when none does, and ()
-    when time.perf_counter() passes deadline, read before every move.
+    when time.perf_counter() passes deadline, read before every move it
+    scores.
 
     A move improves iff its window and the exit leg out of it cost less
     than pre[end + 1]: the prefix before the window is kept, and the legs
@@ -134,10 +137,12 @@ def _first_improving_move(
     by then). Each dark count is stepped from a known one by newly_lit.
     For a relocation group, with segbits the segment's mask:
     - left moves: the legs into order[b + 1:a] keep their length and are
-      driven with the segment repaired, at lit[p], the count of
-      masks[p] | segbits, stepped down from lit[a] = dark[end]. One pass
-      over p < a gives every b the cost of that block as a suffix sum, and
-      the exit leg, out of order[a - 1], is the same for every b;
+      driven with the segment repaired, at the count of masks[p] |
+      segbits, stepped down from dark[end]. One descending pass over p < a
+      carries the cost of that block, and each b is scored as the pass
+      reaches it; the exit leg, out of order[a - 1], is the same for every
+      b. The least improving b is the one a scan in table order meets
+      first, so the pass keeps the last it finds;
     - right moves: the block order[a + size:b + size] keeps its inner legs,
       driven at the count of masks[p] ^ segbits, stepped up from dark[a].
       The block sum is carried from b to b + 1, gaining one leg driven at
@@ -147,8 +152,20 @@ def _first_improving_move(
     scored only when the rest does not already reach the limit. A swap or
     reversal is charged its exit leg first, then scored leg by leg from
     dark[first] until the sum reaches the limit.
+
+    The right moves of a group stop before the target j = b + size once
+    block - pre[j] >= maxsave[j], the largest dark[q] * legs[q] over q >=
+    j. A move at j costs at least its block and improves only below
+    pre[j + 1] = pre[j] + dark[j] * legs[j], so it needs block - pre[j] <
+    dark[j] * legs[j]. That gap never shrinks as j grows: the leg block
+    gains is driven without the segment repaired, so at no fewer dark
+    vertices than the leg into order[j] it stands for. And maxsave only
+    falls. The rule needs non-negative travel times, not the triangle
+    inequality.
     """
     relocations, windows = table
+    # maxsave[j]: the most that one leg into order[j:] costs, and so saves.
+    maxsave = [*accumulate(map(mul, dark[::-1], legs[::-1]), max)][::-1]
     for size, a, lefts, rights in relocations:
         end = a + size
         seg = order[a:end]
@@ -160,29 +177,30 @@ def _first_improving_move(
                  for i, u in enumerate(seg[:-1], 1)]
         if lefts:
             limit = pre[end + 1] - dark[end] * travel[order[a - 1]][order[end]]
-            # lit[p]: the dark count at order[p] with the segment repaired;
-            # after[p]: the legs into order[p + 1:a] driven at those counts.
-            lit = [0] * a
-            after = [0] * a
-            acc = 0
+            # after: the legs into order[p + 1:a], driven with the segment
+            # repaired; d, the dark count at order[p] with it repaired.
+            after = 0
             d = dark[end]
+            found = None
+            stop = a - size
             for p in range(a - 1, -1, -1):
-                after[p] = acc
-                lit[p] = d = d + newly_lit(order[p], masks[p + 1] | segbits)
-                acc += d * legs[p]
-            for b in lefts:
-                if deadline is not None and time.perf_counter() > deadline:
-                    return ()
-                cost = (pre[b] + dark[b] * to_head[order[b - 1]]
-                        + lit[b] * from_tail[order[b]] + after[b])
-                if cost < limit:
-                    mask, d = masks[b], dark[b]
-                    for u, bit, leg in inner:
-                        mask |= bit
-                        d -= newly_lit(u, mask)
-                        cost += d * leg
+                d += newly_lit(order[p], masks[p + 1] | segbits)
+                if p < stop:
+                    if deadline is not None and time.perf_counter() > deadline:
+                        return ()
+                    cost = (pre[p] + dark[p] * to_head[order[p - 1]]
+                            + d * from_tail[order[p]] + after)
                     if cost < limit:
-                        return b, end, [*seg, *order[b:a]]
+                        mask, c = masks[p], dark[p]
+                        for u, bit, leg in inner:
+                            mask |= bit
+                            c -= newly_lit(u, mask)
+                            cost += c * leg
+                        if cost < limit:
+                            found = p
+                after += d * legs[p]
+            if found is not None:
+                return found, end, [*seg, *order[found:a]]
         if rights:
             # The block order[end:j] with j = b + size, driven first.
             block = pre[a] + dark[a] * travel[order[a - 1]][order[end]]
@@ -191,6 +209,8 @@ def _first_improving_move(
                 d -= newly_lit(order[p - 1], masks[p] ^ segbits)
                 block += d * legs[p]
             for j in range(rights.start + size, rights.stop + size):
+                if block - pre[j] >= maxsave[j]:
+                    break
                 if deadline is not None and time.perf_counter() > deadline:
                     return ()
                 mask = masks[j] ^ segbits
@@ -238,9 +258,11 @@ def descent(
 
     The first move that lowers the leg-sum objective is taken and the scan
     starts over; a scan with no such move ends the descent at a local
-    optimum. Each scan rebuilds, per position p, the mask repaired before
+    optimum. Each scan works from, per position p, the mask repaired before
     order[p], its dark count (stepped from dark[0] = n by newly_lit), the
-    leg into order[p] and pre[p], the cost of the legs before it.
+    leg into order[p] and pre[p], the cost of the legs before it. A move
+    over order[first:end] leaves all four as they were at every p <=
+    first but legs[first], so they are rebuilt from position first on.
     _first_improving_move scores the moves against them, a relocation
     group's blocks from running sums, and builds a window list only for the
     move taken. Every move's cost is exact, so the scan takes the same
@@ -248,9 +270,9 @@ def descent(
     ends in a depot sentinel, order[n] = 0, with dark[n] = 0 and pre[n + 1]
     = pre[n], so a window at the start leaves the depot and one at the end
     adds no exit leg. Each move taken must lower pre[n], or RuntimeError is
-    raised. When time.perf_counter()
-    passes deadline, checked before every move, the best order so far is
-    returned; a deadline already past returns the start.
+    raised. When time.perf_counter() passes deadline, read before every
+    move the scan scores, the best order so far is returned; a deadline
+    already past returns the start.
 
     proved, when given, maps local optima to their routes, keyed by the
     order with its sentinel. Before each scan the descent looks its order
@@ -271,14 +293,16 @@ def descent(
     table = _move_table(n)
     order = [*start, 0]
     masks = [0] * (n + 1)
-    dark = [0] * (n + 1)
+    dark = [n] + [0] * n
     pre = [0] * (n + 2)
     legs = [0] * (n + 1)
     cols = list(zip(*travel))
     objective = None
+    first = 0
     while True:
-        prev, d = 0, n
-        for p in range(n):
+        # order[-1] is the depot sentinel, so the first leg leaves the depot.
+        prev, d = order[first - 1], dark[first]
+        for p in range(first, n):
             v = order[p]
             dark[p] = d
             legs[p] = travel[prev][v]

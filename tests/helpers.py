@@ -76,6 +76,65 @@ def walk_bound(walks, instance, anc, prefix: Sequence[int]) -> int:
     return value + walks.G[r][v]
 
 
+def reference_walk_table(instance):
+    """(H, G, minout) of the walk bound, every row of every round scanned
+    in full and in label order; ties for the cheapest walk go to the
+    first stop scanned first."""
+    n, travel, source = instance.n, instance.travel, instance.source
+    inf = float("inf")
+
+    def one_leg_longer(weight, walks):
+        best, first, second = walks
+        out = ([0] * (n + 1), [0] * (n + 1), [inf] * (n + 1))
+        for v in range(1, n + 1):
+            b1 = b2 = inf
+            f = 0
+            for x in range(1, n + 1):
+                if x == v:
+                    continue
+                c = weight * travel[v][x] + (second[x] if first[x] == v else best[x])
+                if c < b1:
+                    b1, b2, f = c, b1, x
+                elif c < b2:
+                    b2 = c
+            out[0][v], out[1][v], out[2][v] = b1, f, b2
+        return out
+
+    h = ([0] * (n + 1), [0] * (n + 1), [inf] * (n + 1))
+    g = ([inf] * (n + 1), [0] * (n + 1), [inf] * (n + 1))
+    for part, h_part in zip(g, h):
+        part[source] = h_part[source]
+    H = [tuple(h[0])]
+    G = [(0,) * (n + 1)]
+    for r in range(1, n):
+        h = one_leg_longer(r, h)
+        g = one_leg_longer(n, g)
+        for part, h_part in zip(g, h):
+            part[source] = h_part[source]
+        H.append(tuple(h[0]))
+        G.append(tuple(g[0]))
+    return tuple(H), tuple(G), H[1] if n > 1 else H[0]
+
+
+def random_asymmetric(rng, n: int, high: int):
+    """(travel, power_parent, source) of a random instance: travel times
+    drawn from 0..high per arc, so the matrix is asymmetric and, at a small
+    high, full of ties; the power tree attaches each vertex to a random
+    earlier one, in a random order from a random source."""
+    travel = [[0 if i == j else rng.randint(0, high) for j in range(n + 1)]
+              for i in range(n + 1)]
+    placed = rng.sample(range(1, n + 1), n)
+    parent = {v: rng.choice(placed[:k]) for k, v in enumerate(placed) if k}
+    return travel, parent, placed[0]
+
+
+def breaks_triangle(travel) -> bool:
+    """Whether some arc i -> k is longer than a detour i -> j -> k."""
+    size = len(travel)
+    return any(travel[i][k] > travel[i][j] + travel[j][k]
+               for i in range(size) for j in range(size) for k in range(size))
+
+
 def dark_profile(instance, order: Sequence[int]) -> Tuple[int, ...]:
     """Dark count right before each arrival along the tour."""
     anc = ancestor_sets(instance)

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -10,11 +11,19 @@ from prtrp import (
     compute_beta,
     evaluate_route,
     generate_random,
+    generate_star_reduction,
     greedy_distance,
+    make_instance,
     position_lower_bound,
 )
 
-from helpers import ancestor_sets, walk_bound
+from helpers import (
+    ancestor_sets,
+    breaks_triangle,
+    random_asymmetric,
+    reference_walk_table,
+    walk_bound,
+)
 
 
 @pytest.fixture
@@ -137,3 +146,29 @@ class TestPathLowerBounds:
                 assert walk_bound(walks, inst, anc, pre) <= best, (inst.name, pre)
                 seen.add(inst.source in pre)
         assert seen == {True, False}
+
+
+class TestWalkTableScan:
+    """build_walk_table stops each row early; it must equal the full scan."""
+
+    def test_equals_the_full_scan_on_uniform_and_star_trees(self):
+        # coord_range 5 puts many equal distances, and so cost ties, in a row.
+        for n in range(2, 21):
+            for coord_range in (1000, 5):
+                base = generate_random(n, seed=2400 + n, coord_range=coord_range)
+                for inst in (base, generate_star_reduction(base.travel)):
+                    walks = build_walk_table(inst, build_index(inst))
+                    assert tuple(walks) == reference_walk_table(inst), \
+                        (n, coord_range, inst.name)
+
+    def test_equals_the_full_scan_off_the_triangle_inequality(self):
+        rng = random.Random(2410)
+        broken = 0
+        for k in range(90):
+            n = 2 + k % 14
+            travel, parent, source = random_asymmetric(rng, n, (3, 1000, 10**6)[k % 3])
+            broken += breaks_triangle(travel)
+            inst = make_instance(f"asym-{k}", travel, parent, source=source)
+            walks = build_walk_table(inst, build_index(inst))
+            assert tuple(walks) == reference_walk_table(inst), k
+        assert broken >= 80

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -17,7 +19,12 @@ from prtrp import (
 from prtrp import heuristics
 from prtrp.heuristics import best_descent, descent, greedy_incumbent
 
-from helpers import plain_moves, reference_descent
+from helpers import (
+    breaks_triangle,
+    plain_moves,
+    random_asymmetric,
+    reference_descent,
+)
 
 
 def table_moves(n):
@@ -174,6 +181,41 @@ class TestDescent:
             assert route.objective <= start.objective
             assert route == evaluate_route(inst, index, route.order)
 
+    def test_matches_the_reference_off_the_triangle_inequality(self):
+        # The right-move stop needs only non-negative travel: asymmetric
+        # matrices with values 0-3 (many ties) or up to 10^6, on random
+        # power trees, from a random start and both greedy tours.
+        rng = random.Random(2420)
+        broken = 0
+        for k in range(120):
+            n = 3 + k % 6
+            travel, parent, source = random_asymmetric(rng, n, (3, 10**6)[k % 2])
+            broken += breaks_triangle(travel)
+            inst = make_instance(f"asym-{k}", travel, parent, source=source)
+            index = build_index(inst)
+            for start in (tuple(rng.sample(range(1, n + 1), n)),
+                          greedy_distance(inst, index).order,
+                          greedy_priority_distance(inst, index).order):
+                route = descent(inst, index, start)
+                assert route.order == reference_descent(inst, start), (k, start)
+        assert broken >= 110
+
+    def test_matches_the_reference_on_deep_power_trees(self):
+        # Planar travel times under deep random power trees: each vertex
+        # hangs from one of the two placed before it, so one repair can
+        # light a long stretch at once.
+        rng = random.Random(2421)
+        for k in range(60):
+            n = 3 + k % 6
+            base = generate_random(n, seed=2430 + k)
+            placed = rng.sample(range(1, n + 1), n)
+            parent = {v: rng.choice(placed[max(0, i - 2):i])
+                      for i, v in enumerate(placed) if i}
+            inst = make_instance(f"deep-{k}", base.travel, parent, source=placed[0])
+            start = tuple(rng.sample(range(1, n + 1), n))
+            route = descent(inst, build_index(inst), start)
+            assert route.order == reference_descent(inst, start), (k, start)
+
     def test_deadline_keeps_the_best_tour_so_far(self, monkeypatch):
         inst = generate_random(10, seed=1)
         index = build_index(inst)
@@ -203,16 +245,29 @@ class TestDescent:
         inst = generate_random(12, seed=5)
         index = build_index(inst)
         start = greedy_distance(inst, index)
-        # From the nearest-first tour, the 25th clock read is the first made
-        # while scanning a segment's moves to the left; the clock is past
-        # the deadline from then on.
-        reads = []
+        # The clock read that scores a left move: the one inside the
+        # relocation group's `if lefts:` block.
+        lines, first_line = inspect.getsourcelines(heuristics._first_improving_move)
+        in_lefts = False
+        for offset, text in enumerate(lines):
+            if text.strip() == "if lefts:":
+                in_lefts = True
+            elif text.strip() == "if rights:":
+                in_lefts = False
+            elif in_lefts and "perf_counter()" in text:
+                left_read = first_line + offset
+        # Each read is recorded as (whether it scores a left move, the
+        # number of scans begun); from read number `flip` on, the clock is
+        # past the deadline.
+        reads, scans, clock = [], [], {"flip": None}
 
         def perf_counter():
-            reads.append(None)
-            return 1e9 if len(reads) >= 25 else 0.0
+            frame = sys._getframe(1)
+            reads.append((frame.f_code is scan.__code__
+                          and frame.f_lineno == left_read, len(scans)))
+            flip = clock["flip"]
+            return 1e9 if flip is not None and len(reads) >= flip else 0.0
 
-        scans = []
         scan = heuristics._first_improving_move
 
         def recording_scan(order, *rest):
@@ -221,8 +276,15 @@ class TestDescent:
 
         monkeypatch.setattr(heuristics.time, "perf_counter", perf_counter)
         monkeypatch.setattr(heuristics, "_first_improving_move", recording_scan)
+        descent(inst, index, start.order, deadline=1.0)
+        # The flip: the first read of the second scan that scores a left move.
+        flip = next(k for k, (left, scan_count) in enumerate(reads, 1)
+                    if left and scan_count == 2)
+        reads.clear()
+        scans.clear()
+        clock["flip"] = flip
         stopped = descent(inst, index, start.order, deadline=1.0)
-        assert len(reads) == 25
+        assert len(reads) == flip and reads[-1] == (True, 2)
         assert len(scans) == 2 and scans[0] == start.order
         assert stopped == evaluate_route(inst, index, scans[-1])
         assert stopped.objective < start.objective
