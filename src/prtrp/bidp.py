@@ -16,7 +16,8 @@ newly_lit(v, mask) of power_eval.make_newly_lit.
 New labels are screened by the walk-relaxation bound of bounds.WalkTable
 against the incumbent upper bound ub: at the start, the better of two
 local-search descents (heuristics.best_descent), one from each greedy tour,
-where the second stops once it reaches a local optimum the first proved.
+where the second stops at the first order the first one scanned, with the
+first one's local optimum. Both share the solver's newly_lit table.
 Exact mode keeps that incumbent until the final pick. Heuristic mode lowers
 it after each level but the last by the UB_REFRESH_WIDTH (32) best
 labels' completions, when one beats it. A label reaching level k+1
@@ -57,13 +58,17 @@ leg, and drops it once it reaches ub or the level's best so far. So a
 winner is strictly better than the incumbent, and a level without one
 builds nothing. Only a winner is built by greedy_complete, whose
 evaluate_route objective must equal the score, and it becomes the
-incumbent. Labels are ranked as tuples (value, mask, endpoint), so a value
-tie never falls to the order candidates were generated in. Exact mode runs
-no refresh: there it barely pruned (on the benchmark's small-batch pool,
-473 more labels of 40,330 without it, and no result moved) at about the
-cost of the search itself. Its u_trajectory stays at the start incumbent
-until the final pick. The nearest-first start tour is greedy_complete of
-the empty prefix.
+incumbent. A ranked label is not scored when the previous level's refresh
+ranked its parent and it ends at the parent's nearest-first next vertex:
+its completion is then the parent's tour at the same cost, which that
+refresh found no lower than its final best, the ub this refresh starts
+from, so it cannot win. Labels are ranked as tuples (value, mask,
+endpoint), so a value tie never falls to the order candidates were
+generated in. Exact mode runs no refresh: there it barely pruned (on the
+benchmark's small-batch pool, 473 more labels of 40,330 without it, and
+no result moved) at about the cost of the search itself. Its
+u_trajectory stays at the start incumbent until the final pick. The
+nearest-first start tour is greedy_complete of the empty prefix.
 
 Exact mode keeps every label whose bound ties the incumbent and returns a
 provably optimal tour. Heuristic mode tightens acceptance to a fraction
@@ -198,6 +203,24 @@ def _forward_order(label: Label) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _completion_cost(lab, limit, nearest, newly_lit, full) -> int:
+    """The leg sum of lab's nearest-first completion, the rule of
+    heuristics.greedy_complete, stepped from its value, mask, endpoint and
+    dark count; the partial sum once it reaches limit, so the result is
+    below limit exactly when the completion is.
+    """
+    cost, mask, cur, _, w = lab
+    while mask != full and cost < limit:
+        for d, v, low in nearest[cur]:
+            if not mask & low:
+                break
+        cost += w * d
+        mask |= low
+        w -= newly_lit(v, mask)
+        cur = v
+    return cost
+
+
 def solve(
     instance: Instance,
     config: Optional[SolverConfig] = None,
@@ -248,6 +271,7 @@ def solve(
             greedy_priority_distance(instance, index).order,
         ),
         deadline,
+        newly_lit,
     )
     ub = incumbent.objective
     inc_order = incumbent.order
@@ -289,6 +313,9 @@ def solve(
     level_stats: List[Dict[str, int]] = []
     u_trajectory = [ub]
     stop = None
+    # The previous refresh's ranked labels by id, each held alive with its
+    # nearest-first next vertex.
+    last_ranked: Dict[int, Tuple[Label, int]] = {}
 
     for level in range(n):
         # The level's acceptance threshold and the walk bound's rows for
@@ -377,22 +404,28 @@ def solve(
         # compared as tuples (with dominance off, equal (value, mask,
         # endpoint) falls to the parents): score each nearest-first
         # completion, stopping once it reaches ub or the level's best, so
-        # only a completion that beats the incumbent can win. Exact mode
-        # keeps its start incumbent, which the refresh barely lowered.
+        # only a completion that beats the incumbent can win; a ranked
+        # parent's nearest-first child is not scored. Exact mode keeps its
+        # start incumbent, which the refresh barely lowered.
         if cfg.mode == HEURISTIC:
             best_cost, winner = ub, None
+            ranked = {}
             for lab in heapq.nsmallest(UB_REFRESH_WIDTH, frontier.values()):
-                cost, mask, cur, _, w = lab
-                while mask != full and cost < best_cost:
-                    for d, v, low in nearest[cur]:
-                        if not mask & low:
-                            break
-                    cost += w * d
-                    mask |= low
-                    w -= newly_lit(v, mask)
-                    cur = v
+                mask, endpoint, parent = lab[1:4]
+                for _, v, low in nearest[endpoint]:
+                    if not mask & low:
+                        break
+                ranked[id(lab)] = lab, v
+                # A ranked parent's nearest-first child completes to the
+                # parent's tour, which the last refresh found no lower
+                # than its best, the ub this one starts from: it cannot win.
+                known = last_ranked.get(id(parent))
+                if known is not None and known[1] == endpoint:
+                    continue
+                cost = _completion_cost(lab, best_cost, nearest, newly_lit, full)
                 if cost < best_cost:
                     best_cost, winner = cost, lab
+            last_ranked = ranked
             if winner is not None:
                 # Only a winner is built and evaluated, which cross-checks
                 # the score against evaluate_route; it becomes the incumbent.

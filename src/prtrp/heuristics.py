@@ -11,7 +11,7 @@ import functools
 import time
 from itertools import accumulate
 from operator import mul
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .instance import Instance, Route
 from .power_eval import PrecedenceIndex, evaluate_route, make_newly_lit
@@ -173,8 +173,8 @@ def _first_improving_move(
         segbits = masks[end] ^ masks[a]
         to_head, from_tail = cols[head], travel[tail]
         # The segment's inner legs: the vertex before, its bit, length.
-        inner = [(u, 1 << (u - 1), travel[u][seg[i]])
-                 for i, u in enumerate(seg[:-1], 1)]
+        inner = () if size == 1 else [(u, 1 << (u - 1), travel[u][seg[i]])
+                                      for i, u in enumerate(seg[:-1], 1)]
         if lefts:
             limit = pre[end + 1] - dark[end] * travel[order[a - 1]][order[end]]
             # after: the legs into order[p + 1:a], driven with the segment
@@ -252,6 +252,7 @@ def descent(
     start: Sequence[int],
     deadline: Optional[float] = None,
     proved: Optional[Dict[Tuple[int, ...], Route]] = None,
+    newly_lit: Optional[Callable[[int, int], int]] = None,
 ) -> Route:
     """First-improvement descent from a full order over the moves of
     _move_table.
@@ -274,11 +275,16 @@ def descent(
     move the scan scores, the best order so far is returned; a deadline
     already past returns the start.
 
-    proved, when given, maps local optima to their routes, keyed by the
-    order with its sentinel. Before each scan the descent looks its order
-    up there and, once it finds it, returns that route: the scan would find
-    no improving move again. A descent whose last scan found no improving
-    move adds its result; one the deadline stopped adds nothing.
+    proved, when given, maps orders to the local optimum a descent from
+    them reaches, keyed by the order with its sentinel. Before each scan
+    the descent looks its order up there and, once it finds it, returns
+    that route: the first improving move depends on the order alone, so
+    the descent would take the same moves from there again. A descent
+    whose last scan found no improving move maps every order it scanned to
+    its result; one that stops at a known order maps those it scanned
+    before to that order's route; one the deadline stopped adds nothing.
+    newly_lit, when given, is make_newly_lit(index), so callers running
+    several descents build its table once.
 
     Raises ValueError, before any move, when start is not a permutation
     of 1..n or the instance still has repair durations.
@@ -289,7 +295,8 @@ def descent(
     if any(instance.repair_duration):
         raise ValueError("repair durations must be absorbed before the descent")
     travel = instance.travel
-    newly_lit = make_newly_lit(index)
+    if newly_lit is None:
+        newly_lit = make_newly_lit(index)
     table = _move_table(n)
     order = [*start, 0]
     masks = [0] * (n + 1)
@@ -299,6 +306,8 @@ def descent(
     cols = list(zip(*travel))
     objective = None
     first = 0
+    # The orders scanned so far, with their sentinel, when proved is given.
+    scanned: List[Tuple[int, ...]] = []
     while True:
         # order[-1] is the depot sentinel, so the first leg leaves the depot.
         prev, d = order[first - 1], dark[first]
@@ -317,10 +326,13 @@ def descent(
                 f"objective from {objective} to {pre[n]}"
             )
         objective = pre[n]
-        if proved:
-            known = proved.get(tuple(order))
+        if proved is not None:
+            key = tuple(order)
+            known = proved.get(key)
             if known is not None:
+                proved.update(dict.fromkeys(scanned, known))
                 return known
+            scanned.append(key)
         move = _first_improving_move(
             order, masks, dark, pre, legs, travel, cols, newly_lit, table, deadline
         )
@@ -328,7 +340,7 @@ def descent(
             route = evaluate_route(instance, index, order[:n])
             # None: no move improves; (): the deadline passed mid-scan.
             if move is None and proved is not None:
-                proved[tuple(order)] = route
+                proved.update(dict.fromkeys(scanned, route))
             return route
         first, end, window = move
         order[first:end] = window
@@ -339,13 +351,17 @@ def best_descent(
     index: PrecedenceIndex,
     starts: Sequence[Sequence[int]],
     deadline: Optional[float] = None,
+    newly_lit: Optional[Callable[[int, int], int]] = None,
 ) -> Route:
     """The least (objective, order) of a descent from each start, run in
-    turn. They share the local optima they prove, so a descent that reaches
-    one an earlier descent proved stops there without scanning it again.
+    turn. They share the orders they scanned (see descent's proved), so a
+    descent that reaches an order an earlier descent scanned stops there
+    with that descent's local optimum, without scanning it again. newly_lit
+    is passed to each descent.
     """
     proved: Dict[Tuple[int, ...], Route] = {}
     return min(
-        (descent(instance, index, start, deadline, proved) for start in starts),
+        (descent(instance, index, start, deadline, proved, newly_lit)
+         for start in starts),
         key=lambda rt: (rt.objective, rt.order),
     )

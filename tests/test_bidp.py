@@ -34,8 +34,9 @@ def expansions(monkeypatch):
     passes the first bound test with the source repaired makes one call,
     its mask holding as many vertices as its level; each leg heuristic
     mode's incumbent refresh scores makes one, its mask holding what is
-    repaired by the leg's end. A patched clock can read len(sizes) to pick
-    its moment."""
+    repaired by the leg's end. The start-up descents share the solver's
+    newly_lit, so their calls come first. A patched clock can read
+    len(sizes) to pick its moment."""
     record = {"sizes": []}
     real_factory = bidp.make_newly_lit
 
@@ -315,7 +316,8 @@ class TestSolveVariants:
         # The clock jumps past the deadline at the middle call made at the
         # size of the largest level. The refresh scores at most 32 legs of
         # that size after each earlier level, far fewer than the level's
-        # candidates, so the jump falls inside that level.
+        # candidates, so the jump falls inside that level. The start-up
+        # descents make the same calls first in both solves.
         peak = max(full, key=lambda st: st["fwd_created"])["level"]
         sizes = expansions["sizes"]
         at_peak = [i for i, size in enumerate(sizes) if size == peak]
@@ -528,6 +530,89 @@ class TestIncumbentRefresh:
             levels = solve(inst, relaxed).stats["levels"]
             assert calls["nsmallest"] == min(len(levels), inst.n - 1) > 0
             assert calls["complete"] >= 1
+
+
+    # theta 0.8/delta 0.01 on the instances above, and theta 0.70/delta
+    # 0.01 on the relaxed benchmark pool's uniform n=17 instance: per solve
+    # the trajectory, the refresh winners built as (prefix, objective), each
+    # level's (created, dominated, pruned by the bound), and how many labels
+    # the refreshes rank and how many of them they score.
+    RELAXED = SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.01)
+    SKIP_CASES = pytest.mark.parametrize(
+        "inst, config, trajectory, winners, levels, ranked, scored",
+        [
+            (generate_random(9, seed=10), RELAXED,
+             [14143, 14143, 13900, 13900, 13900, 13900, 13900],
+             [((2, 5), 13900)],
+             [(1, 0, 8), (2, 0, 6), (1, 0, 13), (1, 0, 5), (1, 0, 4), (0, 0, 4)],
+             6, 3),
+            (generate_random(10, seed=1), RELAXED, [19473] * 8, [],
+             [(3, 0, 7), (9, 0, 18), (20, 0, 52), (21, 3, 116), (13, 8, 105),
+              (4, 3, 58), (0, 0, 16)],
+             70, 31),
+            (generate_star_reduction(generate_random(10, seed=1).travel),
+             RELAXED, [17885] * 2, [], [(0, 0, 10)], 0, 0),
+            (generate_random(17, seed=1),
+             SolverConfig(mode=HEURISTIC, theta=0.7, delta=0.01),
+             [38017] * 12, [],
+             [(7, 0, 10), (31, 0, 81), (75, 23, 367), (132, 41, 877),
+              (194, 52, 1470), (207, 53, 2068), (151, 44, 2082), (72, 29, 1409),
+              (17, 8, 623), (2, 2, 132), (0, 0, 14)],
+             249, 155),
+        ],
+        ids=["n9-theta-0.8-delta-0.01", "n10-theta-0.8-delta-0.01",
+             "star-n10-theta-0.8-delta-0.01", "n17-theta-0.7-delta-0.01"],
+    )
+
+    @SKIP_CASES
+    def test_a_known_completion_is_not_scored_again(
+        self, monkeypatch, inst, config, trajectory, winners, levels, ranked,
+        scored,
+    ):
+        # A ranked label that is the nearest-first child of a label scored
+        # one level earlier completes to that label's tour, which cannot
+        # beat the incumbent, so it is not scored.
+        record = {"ranked": 0, "scored": [], "built": []}
+        real_nsmallest = bidp.heapq.nsmallest
+        real_cost = bidp._completion_cost
+        real_complete = bidp.greedy_complete
+
+        def counted_nsmallest(*args):
+            labels = real_nsmallest(*args)
+            record["ranked"] += len(labels)
+            return labels
+
+        def recording_cost(lab, *rest):
+            record["scored"].append(lab)
+            return real_cost(lab, *rest)
+
+        def recording_complete(instance, index, prefix):
+            route = real_complete(instance, index, prefix)
+            record["built"].append((tuple(prefix), route.objective))
+            return route
+
+        monkeypatch.setattr(bidp.heapq, "nsmallest", counted_nsmallest)
+        monkeypatch.setattr(bidp, "_completion_cost", recording_cost)
+        monkeypatch.setattr(bidp, "greedy_complete", recording_complete)
+        report = solve(inst, config)
+
+        def nearest_next(lab):
+            _, mask, endpoint = lab[:3]
+            return min((inst.travel[endpoint][v], v) for v in range(1, inst.n + 1)
+                       if not mask >> (v - 1) & 1)[1]
+
+        # The list holds every scored label, so ids stay unique.
+        scored_ids = {id(lab) for lab in record["scored"]}
+        for lab in record["scored"]:
+            parent = lab[3]
+            assert not (id(parent) in scored_ids and lab[2] == nearest_next(parent)), \
+                bidp._forward_order(lab)
+        stats = report.stats
+        assert stats["u_trajectory"] == trajectory
+        assert record["built"][1:] == winners
+        assert [(st["fwd_created"], st["fwd_dominated"], st["fwd_pruned_bound"])
+                for st in stats["levels"]] == levels
+        assert (record["ranked"], len(record["scored"])) == (ranked, scored)
 
 
 class TestReportShape:

@@ -351,13 +351,50 @@ class TestDescentPair:
         # Both descents end at the same local optimum, reached by moves.
         assert alone.order == first.order
         assert first.order not in (first_start, second_start)
-        assert proved == {(*first.order, 0): first}
+        assert proved == dict.fromkeys(
+            ((*order, 0) for order in scans[alone_scans:]), first)
         scans.clear()
         second = descent(inst, index, second_start, proved=proved)
         assert len(scans) == alone_scans - 1
         assert first.order not in scans
         assert second == alone
         assert best_descent(inst, index, (first_start, second_start)) == alone
+
+    def test_a_descent_stops_at_an_order_an_earlier_one_scanned(
+        self, monkeypatch
+    ):
+        # The second descent meets the first one's path at an order the
+        # first scanned on its way, before its local optimum.
+        inst = generate_random(10, seed=4)
+        index = build_index(inst)
+        first_start = greedy_distance(inst, index).order
+        second_start = greedy_priority_distance(inst, index).order
+        scans = self.count_scans(monkeypatch)
+        alone = descent(inst, index, second_start)
+        alone_scans = scans[:]
+        scans.clear()
+        proved = {}
+        first = descent(inst, index, first_start, proved=proved)
+        first_scans = scans[:]
+        meet = next(order for order in alone_scans if order in first_scans)
+        assert meet not in (first.order, second_start)
+        assert proved == dict.fromkeys(((*order, 0) for order in first_scans), first)
+        # A descent the deadline cut adds none of the orders it scanned.
+        before = dict(proved)
+        cut = descent(inst, index, second_start, deadline=0.0, proved=proved)
+        assert cut.order == second_start
+        assert proved == before
+        scans.clear()
+        second = descent(inst, index, second_start, proved=proved)
+        assert second is first
+        assert second == alone
+        assert scans == alone_scans[:alone_scans.index(meet)]
+        assert len(scans) < len(alone_scans)
+        # The orders it scanned before the meeting map to that optimum too.
+        assert proved == dict.fromkeys(
+            ((*order, 0) for order in first_scans + scans), first)
+        assert best_descent(inst, index, (first_start, second_start)) == \
+            min(first, alone, key=lambda rt: (rt.objective, rt.order))
 
     def test_a_start_at_a_proved_optimum_is_not_scanned(self, monkeypatch):
         # The priority-weighted tour is already the nearest-first tour's

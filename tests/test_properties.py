@@ -32,7 +32,7 @@ from prtrp import (  # noqa: E402
     validate,
 )
 from prtrp import instance as inst_mod  # noqa: E402
-from prtrp.heuristics import descent  # noqa: E402
+from prtrp.heuristics import best_descent, descent  # noqa: E402
 
 from helpers import (  # noqa: E402
     MAX_TRAVEL,
@@ -129,6 +129,27 @@ def test_descent_is_no_worse_than_its_start_and_repeats(drawn):
     assert route.objective <= leg_sum_objective(inst, order)
     assert route.objective == leg_sum_objective(inst, route.order)
     assert descent(inst, index, order) == route
+
+
+@EXAMPLES
+@given(instances(max_n=8), st.data())
+def test_descent_pair_is_the_better_of_two_lone_descents(inst, data):
+    # The second descent stops at any order the first one scanned, which is
+    # exact only because first improvement depends on the order alone. The
+    # second start is drawn whole or as the first with two entries swapped,
+    # so the two paths often meet before either optimum.
+    index = build_index(inst)
+    first = data.draw(st.permutations(range(1, inst.n + 1)))
+    if data.draw(st.booleans()):
+        second = data.draw(st.permutations(first))
+    else:
+        second = list(first)
+        i, j = (data.draw(st.integers(0, inst.n - 1)) for _ in range(2))
+        second[i], second[j] = second[j], second[i]
+    starts = [tuple(first), tuple(second)]
+    lone = [descent(inst, index, start) for start in starts]
+    assert best_descent(inst, index, starts) == \
+        min(lone, key=lambda rt: (rt.objective, rt.order))
 
 
 @EXAMPLES
