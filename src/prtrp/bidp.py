@@ -40,8 +40,10 @@ applied during the search; they form the threshold table `prtrp bounds`
 prints.
 
 The search stops scoring a parent's candidates once none can pass. Each
-endpoint keeps its fault vertices sorted by (travel, label). A parent of
-value u at endpoint e with w vertices dark walks that list until
+endpoint keeps its fault vertices sorted by (travel, label), in rows that
+bounds.nearest_rows builds once per solve and that the walk table's scans
+and the refresh read too. A parent of value u at endpoint e with w
+vertices dark walks that list until
 
     u + w * d(e, v) + floor > cut
 
@@ -84,7 +86,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .bounds import build_walk_table
+from .bounds import build_walk_table, nearest_rows
 from .errors import EngineLimitError
 from .heuristics import best_descent, greedy_complete, greedy_priority_distance
 from .instance import Instance, Route
@@ -256,7 +258,6 @@ def solve(
     t_start = time.perf_counter()
     deadline = t_start + cfg.time_limit if cfg.time_limit is not None else None
 
-    travel = instance.travel
     full = (1 << n) - 1
     newly_lit = make_newly_lit(index)
 
@@ -276,18 +277,16 @@ def solve(
     ub = incumbent.objective
     inc_order = incumbent.order
 
-    walks = build_walk_table(instance, index)
+    # Per endpoint, (travel time, vertex, mask bit) of the other fault
+    # vertices, nearest first with ties to the smaller label: the walk
+    # table's scans, the label search and the refresh read these rows.
+    nearest = nearest_rows(instance.travel)
+    walks = build_walk_table(instance, index, nearest)
     minout = walks.minout
     src_bit = 1 << (index.source - 1)
     theta_pct = cfg.theta_pct
     delta_pct = cfg.delta_pct
     dominance = cfg.use_dominance
-    # Per endpoint, (travel time, vertex, mask bit) of the other fault
-    # vertices, nearest first with ties to the smaller label.
-    nearest = [
-        sorted((row[v], v, 1 << (v - 1)) for v in range(1, n + 1) if v != e)
-        for e, row in enumerate(travel)
-    ]
 
     # Labels are keyed by configuration, so a new label meets the one it
     # dominates or loses to. With dominance off every label gets its own

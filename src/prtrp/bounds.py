@@ -127,15 +127,31 @@ class WalkTable(NamedTuple):
     minout: Tuple[int, ...]
 
 
+def nearest_rows(travel) -> List[List[Tuple[int, int, int]]]:
+    """Per endpoint e = 0..n, the depot included, (travel[e][v], v,
+    1 << (v - 1)) for every fault vertex v other than e, sorted: nearest
+    first, ties to the smaller label. The solver sorts them once per solve
+    for the walk table's scans, its label search and its refresh."""
+    labels = range(1, len(travel))
+    bits = [1 << (v - 1) for v in labels]
+    rows = []
+    for e, row in enumerate(travel):
+        entries = list(zip(row[1:], labels, bits))
+        if e:
+            del entries[e - 1]
+        entries.sort()
+        rows.append(entries)
+    return rows
+
+
 def _one_leg_longer(nearest, n: int, weight: int, walks):
     """Walks out of every vertex, one leg longer than `walks`.
 
     walks is (best, first, second) per vertex: the cheapest walk, its first
     stop, and the cheapest walk with another first stop. The new first leg
     v -> x costs weight * d(v, x) and continues with x's cheapest walk that
-    does not step straight back to v. nearest[v] lists (d(v, x), x) over
-    the other fault vertices x, sorted, so each row is scanned
-    nearest-first.
+    does not step straight back to v. nearest[v] is v's row of nearest_rows,
+    so each row is scanned nearest-first.
 
     Every continuation costs at least floor, the least entry of best, so
     once weight * d(v, x) + floor reaches the second-best cost b2 so far,
@@ -153,7 +169,7 @@ def _one_leg_longer(nearest, n: int, weight: int, walks):
     for v in range(1, n + 1):
         b1 = b2 = _NO_WALK
         f = 0
-        for dist, x in nearest[v]:
+        for dist, x, _ in nearest[v]:
             leg = weight * dist
             if leg + floor >= b2:
                 break
@@ -166,22 +182,21 @@ def _one_leg_longer(nearest, n: int, weight: int, walks):
     return new_best, new_first, new_second
 
 
-def build_walk_table(instance: Instance, index: PrecedenceIndex) -> WalkTable:
+def build_walk_table(
+    instance: Instance, index: PrecedenceIndex, rows=None
+) -> WalkTable:
     """H, G and minout of the walk bound; O(n^3) exact integer work at most.
 
     Walks of r <= n-1 legs always exist without a straight turn-back, so
     every stored entry is a finite integer. Each round scans the rows
     nearest-first and stops a row once no farther first stop can lower
     its best or second-best cost (_one_leg_longer), so the tables equal
-    those of a full scan of every row.
+    those of a full scan of every row. rows, when given, is
+    nearest_rows(instance.travel), which the solver shares.
     """
     n = instance.n
-    travel = instance.travel
     source = index.source
-    nearest = [()] + [
-        sorted((row[x], x) for x in range(1, n + 1) if x != v)
-        for v, row in enumerate(travel[1:], 1)
-    ]
+    nearest = nearest_rows(instance.travel) if rows is None else rows
     # First stop 0 marks the empty walk, which has no turn-back to avoid.
     h = ([0] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))
     g = ([_NO_WALK] * (n + 1), [0] * (n + 1), [_NO_WALK] * (n + 1))

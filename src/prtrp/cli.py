@@ -144,7 +144,7 @@ def cmd_solve(args) -> int:
         "stats": {k: v for k, v in stats.items()
                   if k != "wall_time_sec" or not args.no_timing},
     }
-    print(json.dumps(record, indent=2))
+    print(inst_mod.json_text(record))
     return EXIT_OK
 
 
@@ -412,19 +412,14 @@ def cmd_check_mip(args) -> int:
         model, work, index, _solution_arcs(data["x"], work.n),
         _numbers(data["t"], "t"), _numbers(data["r"], "r"),
     )
-    print(
-        json.dumps(
-            {
-                "feasible": res.feasible,
-                "single_tour": res.single_tour,
-                "order": list(res.order) if res.order else None,
-                "objective": res.objective,
-                "route_objective": res.route_objective,
-                "violations": res.violations,
-            },
-            indent=2,
-        )
-    )
+    print(inst_mod.json_text({
+        "feasible": res.feasible,
+        "single_tour": res.single_tour,
+        "order": list(res.order) if res.order else None,
+        "objective": res.objective,
+        "route_objective": res.route_objective,
+        "violations": res.violations,
+    }))
     return EXIT_OK if res.feasible else EXIT_FAILURE
 
 
@@ -446,18 +441,13 @@ def cmd_evaluate(args) -> int:
     work, index = _prepare(inst)
     order = _parse_order(args.order)
     route = evaluate_route(work, index, order)
-    print(
-        json.dumps(
-            {
-                "instance": inst.name,
-                "order": list(route.order),
-                "objective": route.objective,
-                "r": list(route.r),
-                "t": list(route.t),
-            },
-            indent=2,
-        )
-    )
+    print(inst_mod.json_text({
+        "instance": inst.name,
+        "order": list(route.order),
+        "objective": route.objective,
+        "r": list(route.r),
+        "t": list(route.t),
+    }))
     return EXIT_OK
 
 

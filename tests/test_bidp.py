@@ -358,8 +358,8 @@ class TestSolveVariants:
                 clock["rows"].append(r)
                 return tuple.__getitem__(self, r)
 
-        def recording_table(instance, index):
-            walks = real_table(instance, index)
+        def recording_table(instance, index, rows):
+            walks = real_table(instance, index, rows)
             return walks._replace(H=Rows(walks.H))
 
         def perf_counter():

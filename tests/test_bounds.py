@@ -16,6 +16,8 @@ from prtrp import (
     make_instance,
     position_lower_bound,
 )
+from prtrp import bidp
+from prtrp.bounds import nearest_rows
 
 from helpers import (
     ancestor_sets,
@@ -172,3 +174,58 @@ class TestWalkTableScan:
             walks = build_walk_table(inst, build_index(inst))
             assert tuple(walks) == reference_walk_table(inst), k
         assert broken >= 80
+
+
+class TestNearestRows:
+    """The travel rows the solver sorts once per solve and shares."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(2420)
+        for n in (1, 2, 5, 9, 14):
+            for coord_range in (1000, 5):
+                base = generate_random(n, seed=2420 + n, coord_range=coord_range)
+                yield base
+                yield generate_star_reduction(base.travel)
+        for k in range(30):
+            travel, parent, source = random_asymmetric(rng, 1 + k % 10, (3, 10**6)[k % 2])
+            yield make_instance(f"asym-{k}", travel, parent, source=source)
+
+    def test_each_row_lists_the_other_fault_vertices_nearest_first(self):
+        for inst in self.instances():
+            rows = nearest_rows(inst.travel)
+            assert len(rows) == inst.n + 1
+            for e, row in enumerate(rows):
+                others = [v for v in range(1, inst.n + 1) if v != e]
+                assert sorted(v for _, v, _ in row) == others, (inst.name, e)
+                assert [d for d, _, _ in row] == [inst.travel[e][v] for _, v, _ in row]
+                assert [bit for _, v, bit in row] == [1 << (v - 1) for _, v, _ in row]
+                keys = [(d, v) for d, v, _ in row]
+                assert keys == sorted(keys), (inst.name, e)
+
+    def test_a_table_from_the_rows_equals_the_full_scan(self):
+        for inst in self.instances():
+            index = build_index(inst)
+            walks = build_walk_table(inst, index, nearest_rows(inst.travel))
+            assert tuple(walks) == reference_walk_table(inst), inst.name
+
+    def test_solve_builds_its_table_from_the_rows_its_refresh_reads(
+        self, monkeypatch
+    ):
+        inst = generate_random(10, seed=2426)
+        tables, scored = [], []
+        real_table, real_cost = bidp.build_walk_table, bidp._completion_cost
+
+        def recording_table(instance, index, rows):
+            tables.append(rows)
+            return real_table(instance, index, rows)
+
+        def recording_cost(lab, limit, nearest, newly_lit, full):
+            scored.append(nearest)
+            return real_cost(lab, limit, nearest, newly_lit, full)
+
+        monkeypatch.setattr(bidp, "build_walk_table", recording_table)
+        monkeypatch.setattr(bidp, "_completion_cost", recording_cost)
+        bidp.solve(inst, bidp.SolverConfig(mode=bidp.HEURISTIC, theta=0.8, delta=0.01))
+        assert tables == [nearest_rows(inst.travel)]
+        assert scored and all(rows is tables[0] for rows in scored)

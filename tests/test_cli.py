@@ -799,3 +799,72 @@ class TestEvaluate:
         assert code == 2
         assert out == ""
         assert f"--order entry {entry!r} is not a vertex number" in err
+
+
+def _indent_2(text):
+    """text as json.dumps(..., indent=2) writes what it holds, newline-ended."""
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+class TestJsonOutput:
+    """Every JSON stdout and instance file is what json.dumps(..., indent=2)
+    writes, byte for byte, non-ASCII names included."""
+
+    @pytest.fixture
+    def named_file(self, tmp_path):
+        inst = dataclasses.replace(generate_random(9, seed=4), name="Strömnetz-ü € \"7\"")
+        return str(inst_mod.save(inst, tmp_path / "named.json"))
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--no-timing"],
+            [],
+            ["--theta", "0.8", "--delta", "0.01", "--no-timing"],
+            ["--theta", "0.9", "--labels-cap", "20", "--time-limit", "30", "--no-timing"],
+            ["--method", "gid", "--no-timing"],
+            ["--method", "gipd", "--no-timing"],
+            ["--method", "hk", "--no-timing"],
+        ],
+        ids=["exact", "exact-timed", "theta-delta", "capped", "gid", "gipd", "hk"],
+    )
+    def test_solve(self, capsys, named_file, flags):
+        code, out, _ = run_cli(capsys, ["solve", named_file, *flags])
+        assert code == 0
+        assert json.loads(out)["instance"] == "Strömnetz-ü € \"7\""
+        assert out == _indent_2(out)
+
+    def test_evaluate(self, capsys, named_file):
+        code, out, _ = run_cli(
+            capsys, ["evaluate", named_file, "--order", "1,2,3,4,5,6,7,8,9"]
+        )
+        assert code == 0
+        assert out == _indent_2(out)
+
+    def test_check_mip_feasible_and_infeasible(self, capsys, named_file, tmp_path):
+        from prtrp import build_index, encode_route
+
+        inst = inst_mod.load(named_file)
+        x, t, r = encode_route(inst, build_index(inst), range(1, 10))
+        sol = {"instance": os.path.basename(named_file), "x": x, "t": t, "r": r}
+        (tmp_path / "ok.json").write_text(json.dumps(sol))
+        (tmp_path / "bad.json").write_text(json.dumps({**sol, "t": [t[0], t[1] - 1.5, *t[2:]]}))
+        for name, want in (("ok.json", 0), ("bad.json", 1)):
+            code, out, _ = run_cli(capsys, ["check-mip", str(tmp_path / name)])
+            assert code == want
+            assert out == _indent_2(out)
+        assert json.loads(out)["violations"]
+
+    def test_instance_files(self, capsys, named_file, tmp_path):
+        code, out, _ = run_cli(
+            capsys, ["generate", "--n", "9", "--seed", "4", "-o", str(tmp_path)]
+        )
+        assert code == 0
+        target = tmp_path / "sub.json"
+        code, _, _ = run_cli(
+            capsys, ["generate", "--subtree", named_file, "--root", "1", "-o", str(target)]
+        )
+        assert code == 0
+        for path in (out.strip(), named_file, target):
+            text = open(path, encoding="utf-8").read()
+            assert text == _indent_2(text)

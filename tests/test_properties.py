@@ -6,6 +6,7 @@ rooted at a drawn source. Examples are derandomized, so every run draws
 the same instances.
 """
 
+import json
 from dataclasses import replace
 from itertools import permutations
 
@@ -47,6 +48,18 @@ from helpers import (  # noqa: E402
 )
 
 EXAMPLES = settings(max_examples=100, derandomize=True, database=None, deadline=None)
+
+
+class _Text(str):
+    """A str subclass: json.dumps writes it as a string."""
+
+
+class _Count(int):
+    """An int subclass: json.dumps writes it as an int."""
+
+
+class _Items(list):
+    """A list subclass: json.dumps writes it as a list."""
 
 
 @st.composite
@@ -276,3 +289,83 @@ def test_absorb_names_the_first_overflowing_arc(inst, data):
         assert str(caught.value) == str(exc)
     else:
         assert absorb_repair_durations(raw).travel == expected
+
+
+# The values prtrp emits, and every corner json.dumps has: non-ASCII,
+# quotes, backslashes and control characters, ints past 2^64, bools beside
+# ints (printed true/false, never 1/0), NaN, infinities and -0.0, None,
+# empty and nested containers, and tuples.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e-7, 1e300]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "Ströme é € \U0001f600", "\ud800"]),
+)
+_INTS_AND_BOOLS = st.one_of(st.integers(), st.booleans())
+
+
+def _json_containers(children):
+    return st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.text(), children, max_size=5),
+        st.lists(_INTS_AND_BOOLS, max_size=6),
+        st.dictionaries(st.text(), _INTS_AND_BOOLS, max_size=5),
+    )
+
+
+_JSON_VALUES = st.recursive(_JSON_SCALARS, _json_containers, max_leaves=40)
+
+
+def _dumps_outcome(dumps, value):
+    """What dumps does with value: its text, or the error it raises."""
+    try:
+        return "text", dumps(value)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return "raises", type(exc), str(exc)
+
+
+@EXAMPLES
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_indent_2(value):
+    assert inst_mod.json_text(value) == json.dumps(value, indent=2)
+
+
+# Values json.dumps converts (non-str keys, int and str subclasses) or
+# rejects (sets, bytes, objects), anywhere in a plain value.
+_ODD_LEAVES = st.one_of(
+    st.sampled_from([set(), {1, 2}, frozenset(), b"bytes", object, _Count(3)]),
+    st.text().map(_Text),
+)
+_ODD_KEYS = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.none(), st.tuples(st.integers())
+)
+
+
+def _odd_containers(children):
+    return st.one_of(
+        _json_containers(children),
+        st.dictionaries(_ODD_KEYS, children, max_size=4),
+        st.lists(children, max_size=4).map(_Items),
+    )
+
+
+@EXAMPLES
+@given(st.recursive(st.one_of(_JSON_SCALARS, _ODD_LEAVES), _odd_containers,
+                    max_leaves=20))
+def test_json_text_converts_and_rejects_as_json_dumps(value):
+    assert _dumps_outcome(inst_mod.json_text, value) == \
+        _dumps_outcome(lambda v: json.dumps(v, indent=2), value)
+
+
+def test_json_text_rejects_a_circular_value_as_json_dumps():
+    loop = {"level": [1, 2]}
+    loop["level"].append(loop)
+    outcome = _dumps_outcome(inst_mod.json_text, [loop])
+    assert outcome == _dumps_outcome(lambda v: json.dumps(v, indent=2), [loop])
+    assert outcome[:2] == ("raises", ValueError)
