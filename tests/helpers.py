@@ -128,6 +128,13 @@ def random_asymmetric(rng, n: int, high: int):
     return travel, parent, placed[0]
 
 
+def report_fields(report):
+    """What a solve reports, its run time aside: objective, order, proof
+    status and every stats field but wall_time_sec."""
+    stats = {k: v for k, v in report.stats.items() if k != "wall_time_sec"}
+    return report.objective, report.route.order, report.proven_optimal, stats
+
+
 def breaks_triangle(travel) -> bool:
     """Whether some arc i -> k is longer than a detour i -> j -> k."""
     size = len(travel)

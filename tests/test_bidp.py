@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 
 import pytest
@@ -12,6 +13,7 @@ from prtrp import (
     evaluate_route,
     generate_random,
     generate_star_reduction,
+    make_instance,
     solve,
 )
 from prtrp import bidp
@@ -24,7 +26,14 @@ from helpers import (
     pure_backward_optimum,
     pure_backward_recursion,
     pure_forward_optimum,
+    random_asymmetric,
+    report_fields,
 )
+
+# Values of the private width constant that force one scan on every level:
+# at 0 every level with a parent scans in bound order, and no frontier
+# reaches the other.
+SCANS = {"bound-order": 0, "nearest-first": 10**9}
 
 
 @pytest.fixture
@@ -441,12 +450,19 @@ class TestBoundCut:
         ids=["exact", "theta-0.83-delta-0.01", "narrow-exact",
              "narrow-theta-0.83-delta-0.01"],
     )
-    def test_per_level_counts_are_pinned(self, coord_range, config, levels, result):
-        report = solve(generate_random(10, seed=1, coord_range=coord_range), config)
-        got = [(st["fwd_created"], st["fwd_pruned_bound"])
-               for st in report.stats["levels"]]
-        assert got == levels
-        assert (report.objective, report.route.order) == result
+    def test_per_level_counts_are_pinned(
+        self, monkeypatch, coord_range, config, levels, result
+    ):
+        # Both scans: the bound-order rows must stop where the bound test
+        # does, ties to the cut included.
+        inst = generate_random(10, seed=1, coord_range=coord_range)
+        for scan, width in SCANS.items():
+            monkeypatch.setattr(bidp, "_WIDE_LEVEL", width)
+            report = solve(inst, config)
+            got = [(st["fwd_created"], st["fwd_pruned_bound"])
+                   for st in report.stats["levels"]]
+            assert got == levels, scan
+            assert (report.objective, report.route.order) == result, scan
 
 
 class TestIncumbentRefresh:
@@ -615,6 +631,96 @@ class TestIncumbentRefresh:
         assert (record["ranked"], len(record["scored"])) == (ranked, scored)
 
 
+def _chain_tree(base):
+    """base's travel times on a chain power tree: the source 1 feeds 2,
+    which feeds 3, and so on."""
+    return make_instance(
+        f"chain-{base.name}", base.travel,
+        {v: v - 1 for v in range(2, base.n + 1)}, source=1,
+    )
+
+
+def _asymmetric(n, seed):
+    travel, parent, source = random_asymmetric(random.Random(seed), n, 9)
+    return make_instance(f"asym-n{n}-s{seed}", travel, parent, source)
+
+
+class TestBoundOrderScan:
+    # A wide level scans each parent's candidates in bound order and stops
+    # at the first one its first bound test fails; a narrow one scans them
+    # nearest first. Only the order of one parent's children may differ.
+    FAMILIES = {
+        "uniform": lambda n, seed: generate_random(n, seed=seed),
+        "star": lambda n, seed: generate_star_reduction(
+            generate_random(n, seed=seed).travel),
+        "chain": lambda n, seed: _chain_tree(generate_random(n, seed=seed)),
+        "asymmetric": _asymmetric,
+    }
+    CONFIGS = pytest.mark.parametrize(
+        "config",
+        [SolverConfig(), SolverConfig(mode=HEURISTIC, theta=0.7, delta=0.01),
+         SolverConfig(use_dominance=False)],
+        ids=["exact", "theta-0.7-delta-0.01", "dominance-off"],
+    )
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @CONFIGS
+    def test_both_scans_give_the_same_report(self, monkeypatch, family, config):
+        for n, seed in itertools.product((2, 5, 8, 10), (1, 2)):
+            inst = self.FAMILIES[family](n, seed)
+            index = build_index(inst)
+            reports = {}
+            for scan, width in SCANS.items():
+                monkeypatch.setattr(bidp, "_WIDE_LEVEL", width)
+                reports[scan] = report_fields(solve(inst, config, index))
+            assert reports["bound-order"] == reports["nearest-first"], inst.name
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_bound_order_scan_matches_the_oracle(self, monkeypatch, family):
+        monkeypatch.setattr(bidp, "_WIDE_LEVEL", SCANS["bound-order"])
+        for n, seed in itertools.product((3, 6, 8), (1, 2, 3)):
+            inst = self.FAMILIES[family](n, seed)
+            index = build_index(inst)
+            report = solve(inst, index=index)
+            best = brute_force(inst, index)
+            assert (report.objective, report.route.order) == \
+                (best.objective, best.order), inst.name
+            assert report.proven_optimal
+
+    def test_rows_are_sorted_only_on_wide_levels(self, monkeypatch):
+        # Each row sorted during an exact n=15 solve: the level it serves,
+        # read from the walk-table row it was keyed on, and whether that
+        # is G's (the source dark) and its parent's dark count is n.
+        inst = generate_random(15, seed=1)
+        n = inst.n
+        table = {}
+        built = []
+        real_table = bidp.build_walk_table
+        real_row = bidp._bound_order_row
+
+        def recording_table(*args):
+            table["walks"] = real_table(*args)
+            return table["walks"]
+
+        def recording_row(nearest_row, w, bound_row):
+            walks = table["walks"]
+            keyed_on_g = any(row is bound_row for row in walks.G)
+            r = next(r for r in range(n)
+                     if bound_row is (walks.G if keyed_on_g else walks.H)[r])
+            built.append((n - r - 1, keyed_on_g, w == n))
+            return real_row(nearest_row, w, bound_row)
+
+        monkeypatch.setattr(bidp, "build_walk_table", recording_table)
+        monkeypatch.setattr(bidp, "_bound_order_row", recording_row)
+        levels = solve(inst).stats["levels"]
+        parents = [1] + [st["fwd_created"] for st in levels[:-1]]
+        wide = {k for k, count in enumerate(parents)
+                if count > bidp._WIDE_LEVEL * n * n}
+        assert built
+        assert {level for level, _, _ in built} == wide
+        assert all(keyed_on_g == dark for _, keyed_on_g, dark in built)
+
+
 class TestReportShape:
     def test_stats_fields(self, star):
         report = solve(star)
@@ -638,17 +744,19 @@ class TestReportShape:
          SolverConfig(use_dominance=False)],
         ids=["exact", "theta-0.7-delta-0.01", "dominance-off"],
     )
-    def test_every_candidate_is_counted_once(self, family, config):
+    def test_every_candidate_is_counted_once(self, monkeypatch, family, config):
         # At 0-based level k each parent has n - k candidates, and each is
-        # built, dominated or pruned by the bound.
-        for seed in (1, 2, 3):
+        # built, dominated or pruned by the bound, whichever scan reads it.
+        for (scan, width), seed in itertools.product(SCANS.items(), (1, 2, 3)):
+            monkeypatch.setattr(bidp, "_WIDE_LEVEL", width)
             inst = generate_random(9, seed=seed)
             if family == "star":
                 inst = generate_star_reduction(inst.travel)
             parents = 1
             for k, st in enumerate(solve(inst, config).stats["levels"]):
                 assert st["fwd_created"] + st["fwd_dominated"] + \
-                    st["fwd_pruned_bound"] == (inst.n - k) * parents, (seed, k)
+                    st["fwd_pruned_bound"] == (inst.n - k) * parents, \
+                    (scan, seed, k)
                 parents = st["fwd_created"]
 
     def test_return_legs_are_counted_at_level_one(self):

@@ -32,7 +32,8 @@ from prtrp import (  # noqa: E402
     solve,
     validate,
 )
-from prtrp import instance as inst_mod  # noqa: E402
+from prtrp import bidp, instance as inst_mod  # noqa: E402
+from prtrp.bidp import HEURISTIC  # noqa: E402
 from prtrp.heuristics import best_descent, descent  # noqa: E402
 
 from helpers import (  # noqa: E402
@@ -43,6 +44,7 @@ from helpers import (  # noqa: E402
     reference_absorbed_travel,
     reference_time_row_report,
     reference_travel_report,
+    report_fields,
     sim_objective_with_durations,
     walk_bound,
 )
@@ -111,6 +113,29 @@ def test_pruning_switches_leave_the_result_unchanged(inst):
     other = solve(inst, SolverConfig(use_dominance=False), index)
     assert (other.objective, other.route.order) == \
         (default.objective, default.route.order)
+
+
+@EXAMPLES
+@given(instances())
+def test_bound_order_scan_matches_nearest_first(inst):
+    # The private width constant forces one scan on every level: 0 the
+    # bound-order rows, a width no frontier reaches the nearest-first ones.
+    # Both must report the same search, and the bound-order one the oracle's
+    # optimum.
+    index = build_index(inst)
+    for config in (SolverConfig(),
+                   SolverConfig(mode=HEURISTIC, theta=0.7, delta=0.01),
+                   SolverConfig(use_dominance=False)):
+        reports = []
+        for width in (0, 10**9):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(bidp, "_WIDE_LEVEL", width)
+                reports.append(solve(inst, config, index))
+        assert report_fields(reports[0]) == report_fields(reports[1])
+        if config == SolverConfig():
+            best = brute_force(inst, index)
+            assert (reports[0].objective, reports[0].route.order) == \
+                (best.objective, best.order)
 
 
 @EXAMPLES
