@@ -12,7 +12,6 @@ from .bounds import (
     build_bounds_table,
     build_walk_table,
     compute_beta,
-    position_lower_bound,
 )
 from .errors import EngineLimitError
 from .heuristics import greedy_complete, greedy_distance, greedy_priority_distance
@@ -68,7 +67,6 @@ __all__ = [
     "held_karp_forward",
     "make_instance",
     "make_newly_lit",
-    "position_lower_bound",
     "solve",
     "validate",
     "write_lp_text",

@@ -26,51 +26,50 @@ threshold is one integer cut per level,
 
     cut = (theta_pct + k * delta_pct) * ub // 100
 
-and a candidate of value u ending at v, with r = n-k-1 legs left, is
-pruned when
+For an integer bound b, 100 * b > T holds exactly when b > T // 100, so
+the cut prunes the same labels as the percent-scaled test. A parent of
+value u at endpoint e with w vertices dark picks its bound row once, B =
+G[r] while its source is dark and B = H[r] once it is repaired, with r =
+n-k-1 legs left after the candidate, and has room = cut - u. Its
+candidate v, whose child has w' vertices dark, is pruned by either of two
+tests:
 
-    u + H[r][v] + (w - r) * minout[v] > cut   (source repaired, w dark)
-    u + G[r][v] > cut                          (source still dark)
+    first = w * d(e, v) + B[v] > room
+    first + (w' - r) * minout[v] > room   (lit source, or v the source)
 
-The second needs no dark count: while the source is dark, so is every
-vertex. For an integer bound b, 100 * b > T holds exactly when
-b > T // 100, so the cut prunes the same labels as the percent-scaled
-test. The per-vertex position thresholds of bounds.compute_beta are not
-applied during the search; they form the threshold table `prtrp bounds`
-prints.
+The second runs only after the first passes, and only where w' is
+carried: while the source is dark so is every vertex (w' = w = n), and G
+already weighs each leg up to the one into the source by n. The leg into
+the source may read G too, as G[r][source] is H[r][source]. The per-vertex
+position thresholds of bounds.compute_beta are not applied during the
+search; they form the threshold table `prtrp bounds` prints.
 
 The search stops scoring a parent's candidates once none can pass, with
-one of two scans chosen per level. A narrow level walks nearest-first
-rows: each endpoint keeps its fault vertices sorted by (travel, label), in
-rows that bounds.nearest_rows builds once per solve and that the walk
-table's scans and the refresh read too. A parent of value u at endpoint e
-with w vertices dark walks its row until
+one of two scans chosen per level; both apply the two tests above. A
+narrow level walks nearest-first rows: each endpoint keeps its fault
+vertices sorted by (travel, label), in rows that bounds.nearest_rows
+builds once per solve and that the walk table's scans and the refresh
+read too. The parent walks e's row until
 
-    u + w * d(e, v) + floor > cut
+    w * d(e, v) + floor > room
 
-where floor is the least entry of H[r] (of G[r] while the source is dark).
-Each candidate's bound is at least its left side, because the dark count
-after v is at least r, and every later vertex is at least as far. A wide
+where floor is the least entry of B. Each candidate's first test is at
+least that left side, and every later vertex is at least as far. A wide
 level, one with more than _WIDE_LEVEL * n^2 = 2 n^2 parents, sorts e's
-row instead by the first test's key less u,
-
-    w * d(e, v) + G[r][v]   (source dark)
-    w * d(e, v) + H[r][v]   (source repaired)
-
-once per (e, w) among its parents, and a parent walks it up to the first
-key above cut - u. Every candidate before that key passes the first test
-and every one after it fails, so the test is not repeated. (e, w) fixes
-the row because w == n exactly while the source is dark: a dark source
-leaves every vertex dark, and a repaired source is lit. A dark row keys the
-source on G too, which is exact since G[r][source] is H[r][source]. Both
-scans pass the same candidates, so they build the same labels and make the
-same counts and newly_lit calls; only the order of one parent's children,
-and so the order of the next frontier, differs. The sorts pay only on a
-wide level: sorting every level made the solves of the benchmark's
-small-batch pool 15% slower. The rule puts 91.1% of the exact workload's
-parents, 9.5% of small-batch's and none of relaxed's on wide levels
-(seed-1 passes). The vertices never reached count as pruned by the bound,
-so each level still accounts for all n - k candidates of every parent.
+row instead by the first test's key, w * d(e, v) + B[v], once per (e, w)
+among its parents, and a parent walks it up to the first key above room.
+Every candidate before that key passes the first test and every one
+after it fails, so the first test is not repeated. (e, w) fixes the row
+because w == n exactly while the source is dark: a dark source leaves
+every vertex dark, and a repaired source is lit. Both scans pass the same
+candidates, so they build the same labels and make the same counts and
+newly_lit calls; only the order of one parent's children, and so the
+order of the next frontier, differs. The sorts pay only on a wide level:
+sorting every level made the solves of the benchmark's small-batch pool
+15% slower. The rule puts 91.1% of the exact workload's parents, 9.5% of
+small-batch's and none of relaxed's on wide levels (seed-1 passes). The
+vertices never reached count as pruned by the bound, so each level still
+accounts for all n - k candidates of every parent.
 
 Heuristic mode's refresh completes each of the best labels nearest-first,
 the rule of heuristics.greedy_complete, and scores the completion on the
@@ -232,9 +231,9 @@ def _forward_order(label: Label) -> Tuple[int, ...]:
 
 def _bound_order_row(nearest_row, w, bound_row):
     """nearest_row's entries as (w * d + bound_row[v], v, low, w * d),
-    sorted: the key is a candidate's first bound test less its parent's
-    value, for a parent with w vertices dark whose row of the walk table
-    (H[r], or G[r] while the source is dark) is bound_row."""
+    sorted: the key is the left side of a candidate's first test, for a
+    parent with w vertices dark whose bound row (H[r], or G[r] while the
+    source is dark) is bound_row."""
     return sorted([(w * d + bound_row[v], v, low, w * d) for d, v, low in nearest_row])
 
 
@@ -371,23 +370,25 @@ def solve(
                 break
             expanded += 1
             value, mask, endpoint, _, w = lab
-            # While the source is dark, so is every vertex: w == n.
+            # While the source is dark, so is every vertex: w == n. Its row
+            # may bound the leg into the source too, as G[r][source] is
+            # H[r][source].
             source_dark = mask & src_bit == 0
+            bound_row = g_r if source_dark else h_r
+            room = cut - value
             if ordered is not None:
-                # A row's key is its candidate's first bound test less
-                # value, so every candidate past the first key above
-                # cut - value fails it. (endpoint, w) fixes the row: w == n
-                # exactly while the source is dark, and a dark row may key
-                # the source on G too, as G[r][source] is H[r][source].
+                # A row's key is its candidate's first test, so every
+                # candidate past the first key above room fails it.
+                # (endpoint, w) fixes the row: w == n exactly while the
+                # source is dark.
                 slot = w * (n + 1) + endpoint
                 row = ordered.get(slot)
                 if row is None:
                     row = ordered[slot] = _bound_order_row(
-                        nearest[endpoint], w, g_r if source_dark else h_r
+                        nearest[endpoint], w, bound_row
                     )
-                reach = cut - value
                 for first, v, low, leg in row:
-                    if first > reach:
+                    if first > room:
                         break
                     if mask & low:
                         continue
@@ -395,9 +396,8 @@ def solve(
                     if source_dark and low != src_bit:
                         new_w = w
                     else:
-                        # The second test, as in a nearest-first scan.
                         new_w = w - newly_lit(v, new_mask)
-                        if first + (new_w - r) * minout[v] > reach:
+                        if first + (new_w - r) * minout[v] > room:
                             continue
                     new_value = value + leg
                     key = (new_mask << 6) | v if dominance else created
@@ -414,29 +414,26 @@ def solve(
                     ):
                         nxt[key] = (new_value, new_mask, v, lab, new_w)
                 continue
-            # A leg longer than reach fails the bound test on the floor
-            # alone, and the list runs nearest first.
-            reach = (cut - value - (g_floor if source_dark else h_floor)) // w
+            # A leg longer than reach fails the first test on the row's
+            # floor alone, and the list runs nearest first.
+            reach = (room - (g_floor if source_dark else h_floor)) // w
             for d, v, low in nearest[endpoint]:
                 if d > reach:
                     break
                 if mask & low:
                     continue
+                leg = w * d
+                first = leg + bound_row[v]
+                if first > room:
+                    continue
                 new_mask = mask | low
-                new_value = value + w * d
                 if source_dark and low != src_bit:
-                    bound = new_value + g_r[v]
                     new_w = w
                 else:
-                    # The dark count is carried only when the w >= r floor
-                    # does not prune already.
-                    bound = new_value + h_r[v]
-                    if bound > cut:
-                        continue
                     new_w = w - newly_lit(v, new_mask)
-                    bound += (new_w - r) * minout[v]
-                if bound > cut:
-                    continue
+                    if first + (new_w - r) * minout[v] > room:
+                        continue
+                new_value = value + leg
                 key = (new_mask << 6) | v if dominance else created
                 old = nxt.get(key)
                 if old is None:

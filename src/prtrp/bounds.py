@@ -6,11 +6,23 @@ bounds (BoundsTable) pair best-case dark counts with the sorted shortest
 arcs (rearrangement inequality); the walk bound the solver prunes with
 (WalkTable) follows cheap walks out of a path's endpoint instead.
 Everything is exact integer arithmetic.
+
+A position bound L_k(i) bounds every tour that visits vertex i at position
+k from below. It exists only where some earlier slot is forced to hold a
+successor of i, k > n - |S_i| with S_i the vertices i powers: once such a
+successor is in place, nothing new can be energized until i itself is
+repaired. Over the n shortest arcs s_1 <= ... <= s_n of the (n+1)*n
+directed arcs, depot arcs included, L_k(i) charges s_p its best-case dark
+count: n-p+1 before and after the stalled stretch, |S_i| inside it
+(p = n-|S_i|+1..k). BoundsTable keeps, per vertex, the row of its
+bounds over exactly those positions, so it holds no position the bound
+does not cover; each row is non-decreasing.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import List, NamedTuple, Tuple
@@ -24,20 +36,15 @@ _NO_WALK = float("inf")
 
 @dataclass
 class BoundsTable:
-    """Prefix sums of the n shortest arcs, for the position bounds.
+    """The position bounds, one row per vertex.
 
-    The arcs are all (n+1)*n directed arcs, depot arcs included, sorted
-    ascending. prefix_plain[j] is the sum of the j shortest;
-    prefix_weighted[j] weights arc p by (n-p+1); both are defined for
-    j <= n. The table serves the position bounds of compute_beta and
-    `prtrp bounds`; the solver prunes with the walk bound of WalkTable
-    instead and never builds it.
+    rows[i-1] is (L_k(i) for k = n-|S_i|+1..n), |S_i| entries. The table
+    serves compute_beta and `prtrp bounds`; the solver prunes with the
+    walk bound of WalkTable instead and never builds it.
     """
 
     n: int
-    prefix_plain: Tuple[int, ...]
-    prefix_weighted: Tuple[int, ...]
-    successor_count: Tuple[int, ...]
+    rows: Tuple[Tuple[int, ...], ...]
 
 
 def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTable:
@@ -45,57 +52,33 @@ def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTabl
     shortest = heapq.nsmallest(n, chain.from_iterable(
         chain(row[:i], row[i + 1:]) for i, row in enumerate(instance.travel)
     ))
-    return BoundsTable(
-        n=n,
-        prefix_plain=(0, *accumulate(shortest)),
-        prefix_weighted=(0, *accumulate((n - p) * s for p, s in enumerate(shortest))),
-        successor_count=index.successor_count,
-    )
-
-
-def position_lower_bound(table: BoundsTable, i: int, k: int) -> int:
-    """Lower bound on any tour visiting vertex i at position k.
-
-    Only positions late enough that some earlier slot is forced to hold a
-    successor of i are covered (k > n - |S_i|): once such a successor is in
-    place, nothing new can be energized until i itself is repaired. The
-    bound charges arc p the best-case dark count: n-p+1 before and after
-    the stalled stretch, |S_i| inside it.
-    """
-    n = table.n
-    if not 1 <= k <= n:
-        raise ValueError(f"position {k} outside 1..{n}")
-    si = table.successor_count[i - 1]
-    if k <= n - si:
-        raise ValueError(
-            f"bound not applicable: vertex {i} needs position > {n - si}, got {k}"
-        )
-    a1 = table.prefix_plain
-    a2 = table.prefix_weighted
-    free = n - si
-    return a2[free] + si * (a1[k] - a1[free]) + (a2[n] - a2[k])
+    # plain[j] sums the j shortest arcs; weighted[j] charges arc p its
+    # dark count n-p+1.
+    plain = (0, *accumulate(shortest))
+    weighted = (0, *accumulate((n - p) * s for p, s in enumerate(shortest)))
+    rows = []
+    for count in index.successor_count:
+        free = n - count
+        rows.append(tuple(
+            weighted[free] + count * (plain[k] - plain[free]) + weighted[n] - weighted[k]
+            for k in range(free + 1, n + 1)
+        ))
+    return BoundsTable(n=n, rows=tuple(rows))
 
 
 def compute_beta(table: BoundsTable, upper: int) -> List[int]:
     """Largest admissible position per vertex given an upper bound.
 
-    Returns beta with beta[i-1] = (smallest applicable k whose position
-    bound exceeds upper) - 1, or n when no position is ruled out. The
-    position bound is non-decreasing in k on its applicable range, so the
-    first threshold settles all later positions. A negative upper raises
-    ValueError, since no tour has a negative objective.
+    Returns beta with beta[i-1] = (smallest k whose position bound exceeds
+    upper) - 1, or n when no position is ruled out. Each row is
+    non-decreasing, so the first threshold settles all later positions. A
+    negative upper raises ValueError, since no tour has a negative
+    objective.
     """
-    n = table.n
-    beta = [n] * n
     if upper < 0:
         raise ValueError(f"upper bound must be >= 0, got {upper}")
-    for i in range(1, n + 1):
-        k_min = n - table.successor_count[i - 1] + 1
-        for k in range(k_min, n + 1):
-            if position_lower_bound(table, i, k) > upper:
-                beta[i - 1] = k - 1
-                break
-    return beta
+    n = table.n
+    return [n - len(row) + bisect_right(row, upper) for row in table.rows]
 
 
 class WalkTable(NamedTuple):

@@ -310,12 +310,9 @@ def cmd_bounds(args) -> int:
     writer.writerow(
         ["vertex", "successor_count", "beta"] + [f"L_k{k}" for k in range(1, n + 1)]
     )
-    for i, count in enumerate(index.successor_count, 1):
-        # L_k applies from position n - |S_i| + 1 on.
-        free = n - count
-        lower = map(functools.partial(bounds.position_lower_bound, table, i),
-                    range(free + 1, n + 1))
-        writer.writerow([i, count, beta[i - 1], *[""] * free, *lower])
+    for i, (row, b) in enumerate(zip(table.rows, beta), 1):
+        # A row holds L_k from position n - |S_i| + 1 on, |S_i| entries.
+        writer.writerow([i, len(row), b, *[""] * (n - len(row)), *row])
     return EXIT_OK
 
 

@@ -116,6 +116,31 @@ def reference_walk_table(instance):
     return tuple(H), tuple(G), H[1] if n > 1 else H[0]
 
 
+def reference_position_rows(instance) -> Tuple[Tuple[int, ...], ...]:
+    """Per vertex i, (L_k(i) for k = n-|S_i|+1..n), one sum per entry.
+
+    The n shortest of the (n+1)*n directed arcs, depot arcs included,
+    sorted, are each charged their best-case dark count: |S_i| for the
+    1-based arc p with n-|S_i| < p <= k, and n-p+1 otherwise. |S_i| counts
+    the vertices whose ancestor set holds i.
+    """
+    n = instance.n
+    size = len(instance.travel)
+    arcs = sorted(instance.travel[a][b]
+                  for a in range(size) for b in range(size) if a != b)[:n]
+    anc = ancestor_sets(instance)
+    rows = []
+    for i in range(1, n + 1):
+        count = sum(1 for a in anc.values() if i in a)
+        free = n - count
+        rows.append(tuple(
+            sum(arc * (count if free < p <= k else n - p + 1)
+                for p, arc in enumerate(arcs, 1))
+            for k in range(free + 1, n + 1)
+        ))
+    return tuple(rows)
+
+
 def random_asymmetric(rng, n: int, high: int):
     """(travel, power_parent, source) of a random instance: travel times
     drawn from 0..high per arc, so the matrix is asymmetric and, at a small

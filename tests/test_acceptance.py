@@ -22,7 +22,6 @@ from prtrp import (
     evaluate_route,
     generate_random,
     held_karp_forward,
-    position_lower_bound,
     solve,
     write_lp_text,
 )
@@ -216,10 +215,11 @@ def test_criterion_04_pruning_soundness():
             assert lb <= best, (inst.name, prefix, lb, best)
             source_states.add(inst.source in prefix)
             checked += 1
-        for i in range(1, n + 1):
-            for k in range(n - index.successor_count[i - 1] + 1, n + 1):
-                assert position_lower_bound(table, i, k) <= best_at[i][k], \
-                    (inst.name, i, k)
+        for i, row in enumerate(table.rows, 1):
+            # row holds L_k(i) for k = lo..n
+            lo = n - index.successor_count[i - 1] + 1
+            for k in range(lo, n + 1):
+                assert row[k - lo] <= best_at[i][k], (inst.name, i, k)
                 checked += 1
     assert source_states == {True, False}
     print(f"CRITERION 4 (pruning soundness, {checked} bound checks): PASS")
@@ -231,15 +231,11 @@ def test_criterion_05_position_bound_monotone():
         index = build_index(inst)
         table = build_bounds_table(inst, index)
         n = inst.n
-        for i in range(1, n + 1):
+        for i, row in enumerate(table.rows, 1):
             lo = n - index.successor_count[i - 1] + 1
-            prev = None
-            for k in range(max(lo, 1), n + 1):
-                cur = position_lower_bound(table, i, k)
-                if prev is not None:
-                    assert cur >= prev, (inst.name, i, k)
-                    checked += 1
-                prev = cur
+            for k in range(lo + 1, n + 1):
+                assert row[k - lo] >= row[k - lo - 1], (inst.name, i, k)
+                checked += 1
     print(f"CRITERION 5 (position bound monotone, {checked} steps): PASS")
 
 

@@ -14,7 +14,6 @@ from prtrp import (
     generate_star_reduction,
     greedy_distance,
     make_instance,
-    position_lower_bound,
 )
 from prtrp import bidp
 from prtrp.bounds import nearest_rows
@@ -23,6 +22,7 @@ from helpers import (
     ancestor_sets,
     breaks_triangle,
     random_asymmetric,
+    reference_position_rows,
     reference_walk_table,
     walk_bound,
 )
@@ -34,53 +34,53 @@ def star_table(star, star_index):
 
 
 class TestTable:
-    def test_star_prefix_sums(self, star_table):
-        # The 3 shortest of the 12 arcs all have length 1.
-        assert star_table.prefix_plain == (0, 1, 2, 3)
-        assert star_table.prefix_weighted == (0, 3, 5, 6)
+    def test_star_rows(self, star_table):
+        # The source powers all three vertices, so its row covers every
+        # position; a leaf's covers only the last.
+        assert star_table.n == 3
+        assert [len(row) for row in star_table.rows] == [3, 1, 1]
 
-    def test_prefix_sums_consistent(self):
-        inst = generate_random(7, seed=5)
-        table = build_bounds_table(inst, build_index(inst))
-        arcs = sorted(
-            inst.travel[i][j] for i in range(8) for j in range(8) if i != j
-        )[:7]
-        for j in range(8):
-            assert table.prefix_plain[j] == sum(arcs[:j])
-            assert table.prefix_weighted[j] == sum(
-                (7 - p) * a for p, a in enumerate(arcs[:j])
-            )
+    @staticmethod
+    def instances():
+        rng = random.Random(2430)
+        for n in (1, 2, 5, 9):
+            base = generate_random(n, seed=2430 + n)
+            yield base
+            yield generate_star_reduction(base.travel)
+            yield make_instance(f"chain-{n}", base.travel,
+                                {v: v - 1 for v in range(2, n + 1)}, source=1)
+            for high in (3, 1000):
+                travel, parent, source = random_asymmetric(rng, n, high)
+                yield make_instance(f"asym-{n}-{high}", travel, parent, source=source)
+
+    def test_rows_equal_the_reference(self):
+        for inst in self.instances():
+            table = build_bounds_table(inst, build_index(inst))
+            anc = ancestor_sets(inst)
+            assert table.n == inst.n
+            assert table.rows == reference_position_rows(inst), inst.name
+            for i, row in enumerate(table.rows, 1):
+                # one entry per applicable position k = n-|S_i|+1..n
+                assert len(row) == sum(1 for a in anc.values() if i in a), \
+                    (inst.name, i)
 
 
 class TestPositionLowerBound:
+    # The 3 shortest of the star's 12 arcs all have length 1.
     def test_star_source_values(self, star_table):
-        assert position_lower_bound(star_table, 1, 1) == 6
-        assert position_lower_bound(star_table, 1, 2) == 7
-        assert position_lower_bound(star_table, 1, 3) == 9
+        assert star_table.rows[0] == (6, 7, 9)
 
     def test_star_leaf_value(self, star_table):
         # leaves only become applicable at the last position
-        assert position_lower_bound(star_table, 2, 3) == 6
-
-    def test_not_applicable(self, star_table):
-        with pytest.raises(ValueError, match="not applicable"):
-            position_lower_bound(star_table, 2, 2)
-        with pytest.raises(ValueError):
-            position_lower_bound(star_table, 1, 0)
+        assert star_table.rows[1] == star_table.rows[2] == (6,)
 
     def test_monotone_on_applicable_range(self):
         for k in range(10):
             n = 5 + k % 4
             inst = generate_random(n, seed=910 + k)
-            index = build_index(inst)
-            table = build_bounds_table(inst, index)
-            for i in range(1, n + 1):
-                lo = n - index.successor_count[i - 1] + 1
-                values = [
-                    position_lower_bound(table, i, k2)
-                    for k2 in range(max(lo, 1), n + 1)
-                ]
-                assert values == sorted(values)
+            table = build_bounds_table(inst, build_index(inst))
+            for row in table.rows:
+                assert list(row) == sorted(row)
 
 
 class TestComputeBeta:
@@ -88,6 +88,19 @@ class TestComputeBeta:
         ub = greedy_distance(star, star_index).objective
         assert ub == 6
         assert compute_beta(star_table, ub) == [1, 3, 3]
+
+    def test_beta_is_the_position_before_the_first_bound_above_upper(self):
+        for inst in TestTable.instances():
+            n = inst.n
+            table = build_bounds_table(inst, build_index(inst))
+            rows = reference_position_rows(inst)
+            values = {b for row in rows for b in row}
+            for upper in {0, 10**18, *values, *(b - 1 for b in values if b)}:
+                expected = [
+                    next((n - len(row) + j for j, b in enumerate(row) if b > upper), n)
+                    for row in rows
+                ]
+                assert compute_beta(table, upper) == expected, (inst.name, upper)
 
     def test_beta_never_cuts_the_optimum(self):
         # with U = optimal objective, the optimal route respects every beta
