@@ -100,6 +100,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -181,6 +182,22 @@ class SolverConfig:
     def __post_init__(self):
         if self.mode not in (EXACT, HEURISTIC):
             raise ValueError(f"mode must be {EXACT!r} or {HEURISTIC!r}")
+        # Types first, so a bad one is a ValueError, not a comparison's
+        # TypeError; a bool is not taken as 0 or 1.
+        if not isinstance(self.use_dominance, bool):
+            raise ValueError(f"use_dominance must be a bool, got {self.use_dominance!r}")
+        for name, kind, optional in (
+            ("theta", numbers.Real, False),
+            ("delta", numbers.Real, False),
+            ("labels_cap", numbers.Integral, True),
+            ("time_limit", numbers.Real, True),
+        ):
+            value = getattr(self, name)
+            if (value is not None or not optional) and (
+                isinstance(value, bool) or not isinstance(value, kind)
+            ):
+                what = "an int" if kind is numbers.Integral else "a number"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if not (0.0 < self.theta <= 1.0 and round(self.theta, 2) == self.theta):
             raise ValueError("theta must be a whole percent in (0, 1]")
         if not (
@@ -267,13 +284,13 @@ def solve(
     with stats["labels_total"], the labels built: the depot label and each
     level's new ones. It and the deadline are read before every parent
     label is expanded and between levels, so a capped run overshoots the
-    cap by at most one parent's children (fewer than n labels). A passed
-    time limit falls back to the incumbent, the descents' best tour (or, in
-    heuristic mode, a better greedy completion); so does a passed label cap
-    in heuristic mode, while exact mode raises EngineLimitError. Neither
-    limit is read once the last level is fully built, so a finished search
-    returns its result under both. The descents stop at the deadline too,
-    so at time_limit=0 the incumbent is the better greedy tour.
+    cap by at most one parent's children (fewer than n labels). In both
+    modes a passed limit ends the search with the incumbent, unproven: the
+    descents' best tour (or, in heuristic mode, a better greedy
+    completion). Neither limit is read once the last level is fully built,
+    so a finished search returns its result under both. The descents stop
+    at the deadline too, so at time_limit=0 the incumbent is the better
+    greedy tour. EngineLimitError means only n > ENGINE_VERTEX_LIMIT.
     """
     cfg = config or SolverConfig()
     n = instance.n
@@ -466,11 +483,6 @@ def solve(
         # discard it. Its labels are complete tours, so the final pick, not a
         # refresh, compares them, and that pick's result ends u_trajectory.
         if stop or level + 1 == n or (stop := stop_reason(labels_total)):
-            if stop == "labels_cap" and cfg.mode == EXACT:
-                raise EngineLimitError(
-                    f"label cap {labels_cap} exceeded at level {level + 1} "
-                    f"({labels_total} labels); raise the cap or use heuristic mode"
-                )
             break
 
         # Heuristic mode refreshes the incumbent from the best new labels,

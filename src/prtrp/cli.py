@@ -2,9 +2,10 @@
 
 Subcommands: solve, bench, generate, bounds, export-mip, check-mip,
 evaluate. Instances travel as JSON files in the documented contract; solve
-results are JSON on stdout and bench results are CSV. Exit codes: 0 ok,
-2 unusable input (missing file or failed validation, report on stderr),
-3 engine limit exceeded.
+results are JSON on stdout and bench results are CSV. Exit codes: 0 ok (a
+passed --labels-cap or --time-limit too: bidp returns its incumbent,
+unproven), 2 unusable input (missing file or failed validation, report on
+stderr), 3 more fault vertices than the method's engine supports.
 """
 
 from __future__ import annotations
@@ -463,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_limit_flags(p):
         p.add_argument("--labels-cap", type=int, default=None, dest="labels_cap",
                        help="bidp only: stop once more than this many labels are "
-                       "built; exact mode exits 3, theta/delta mode returns "
-                       "the incumbent")
+                       "built and return the incumbent, unproven, as a passed "
+                       "--time-limit does")
         p.add_argument("--time-limit", type=float, default=None, dest="time_limit",
                        help="seconds before falling back to the incumbent")
         p.add_argument("--no-timing", action="store_true", dest="no_timing",

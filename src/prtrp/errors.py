@@ -1,2 +1,2 @@
 class EngineLimitError(RuntimeError):
-    """A solver refused the input: too many vertices or a label cap was hit."""
+    """A solver refused the input: more vertices than its engine supports."""

@@ -83,6 +83,30 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="^delta must be"):
             SolverConfig(mode=HEURISTIC, theta=0.8, delta=0.015)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("use_dominance", "no", "use_dominance must be a bool, got 'no'"),
+        ("use_dominance", 0, "use_dominance must be a bool, got 0"),
+        ("labels_cap", True, "labels_cap must be an int, got True"),
+        ("labels_cap", "5", "labels_cap must be an int, got '5'"),
+        ("labels_cap", 5.0, "labels_cap must be an int, got 5.0"),
+        ("time_limit", True, "time_limit must be a number, got True"),
+        ("time_limit", "1", "time_limit must be a number, got '1'"),
+        ("theta", True, "theta must be a number, got True"),
+        ("theta", "0.7", "theta must be a number, got '0.7'"),
+        ("theta", None, "theta must be a number, got None"),
+        ("delta", True, "delta must be a number, got True"),
+    ])
+    def test_wrong_types_raise_value_error_naming_the_field(self, field, value, message):
+        # A bool is not taken as 0 or 1 (nor a truthy string as True), and a
+        # string is a ValueError, not a comparison's TypeError.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SolverConfig(mode=HEURISTIC, **{field: value})
+
+    def test_numbers_of_either_kind_pass(self):
+        cfg = SolverConfig(mode=HEURISTIC, theta=1, delta=0, labels_cap=5, time_limit=2)
+        assert (cfg.theta_pct, cfg.delta_pct, cfg.labels_cap, cfg.time_limit) == \
+            (100, 0, 5, 2)
+
 
 class TestSolveExact:
     def test_star(self, star):
@@ -218,10 +242,21 @@ class TestSolveVariants:
             again = evaluate_route(inst, index, relaxed.route.order)
             assert again.objective == relaxed.objective
 
-    def test_labels_cap_exact_aborts(self):
+    def test_labels_cap_exact_falls_back(self):
+        # A passed cap ends an exact search as a passed deadline does: with
+        # the start incumbent, unproven, and no final tours compared.
         inst = generate_random(9, seed=2600)
-        with pytest.raises(EngineLimitError, match="label cap"):
-            solve(inst, SolverConfig(labels_cap=4))
+        report = solve(inst, SolverConfig(labels_cap=4))
+        stats = report.stats
+        assert not report.proven_optimal
+        assert stats["labels_cap_reached"] and not stats["time_limit_reached"]
+        assert (stats["labels_total"], len(stats["levels"])) == (10, 1)
+        assert stats["join_candidates"] == 0
+        assert report.objective == stats["initial_upper_bound"] == 18202
+        assert stats["u_trajectory"] == [18202]
+        index = build_index(inst)
+        assert evaluate_route(inst, index, report.route.order).objective == \
+            report.objective
 
     def test_labels_cap_heuristic_falls_back(self):
         inst = generate_random(9, seed=2600)
@@ -257,7 +292,8 @@ class TestSolveVariants:
 
     def test_labels_cap_stops_inside_a_level(self):
         inst = generate_random(14, seed=2700)
-        full = solve(inst).stats["levels"]
+        finished = solve(inst)
+        full = finished.stats["levels"]
         created = [st["fwd_created"] for st in full]
         # One label past level 4 (the depot label and the labels built by
         # levels 1-4); level 5 expands over a thousand parents, so the cap
@@ -278,10 +314,20 @@ class TestSolveVariants:
         # built in full; the stopped level adds none.
         assert report.stats["u_trajectory"] == [34773, 34773, 34220, 34220, 34220]
         assert report.objective == 34220
-        with pytest.raises(EngineLimitError, match=r"at level 5 \((\d+) labels\)") as exc:
-            solve(inst, SolverConfig(labels_cap=cap))
-        stopped_at = int(re.search(r"\((\d+) labels\)", str(exc.value)).group(1))
-        assert cap < stopped_at < after_level_5
+        # Exact mode stops at the same label: the cap is read before every
+        # parent in both modes, and the levels built in full match. It keeps
+        # its start incumbent, 34773, above the optimum 33543.
+        exact = solve(inst, SolverConfig(labels_cap=cap))
+        stats = exact.stats
+        assert cap == 2527
+        assert stats["labels_cap_reached"]
+        assert not exact.proven_optimal
+        assert stats["levels"][:4] == full[:4]
+        assert cap < stats["labels_total"] == 2534 < after_level_5
+        assert len(stats["levels"]) == 5
+        assert stats["u_trajectory"] == [34773] * 5
+        assert exact.objective == stats["initial_upper_bound"] == 34773
+        assert finished.objective == 33543
 
     @pytest.mark.parametrize("mode", [EXACT, HEURISTIC])
     def test_cap_crossed_by_the_last_labels_keeps_the_search(self, mode):
@@ -302,11 +348,14 @@ class TestSolveVariants:
         # first of its two parents, so the cap is read again after it.
         inst = generate_random(6, seed=4)
         assert solve(inst).stats["labels_total"] == 18
-        with pytest.raises(EngineLimitError, match=r"at level 6 \(18 labels\)"):
-            solve(inst, SolverConfig(labels_cap=17))
-        report = solve(inst, SolverConfig(mode=HEURISTIC, labels_cap=17))
-        assert report.stats["labels_cap_reached"]
-        assert report.stats["join_candidates"] == 0
+        for mode in (EXACT, HEURISTIC):
+            report = solve(inst, SolverConfig(mode=mode, labels_cap=17))
+            stats = report.stats
+            assert stats["labels_cap_reached"], mode
+            assert (stats["labels_total"], len(stats["levels"])) == (18, 6)
+            assert stats["join_candidates"] == 0
+            assert not report.proven_optimal
+            assert report.objective == stats["initial_upper_bound"] == 7102
 
     def test_cap_counts_only_the_labels_built(self):
         # The cap is compared with the depot label plus the labels built,

@@ -149,6 +149,24 @@ class TestSolve:
         assert code == 3
         assert "refuses" in err
 
+    def test_exact_solve_past_its_cap_exits_0_with_the_incumbent(
+        self, capsys, tmp_path
+    ):
+        # The cap is passed long before the 60 s deadline; the search stops
+        # as a deadline stops it, with the start incumbent, unproven.
+        path = str(inst_mod.save(generate_random(14, seed=2700), tmp_path / "i.json"))
+        code, out, err = run_cli(capsys, [
+            "solve", path, "--time-limit", "60", "--labels-cap", "2527", "--no-timing",
+        ])
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        stats = record["stats"]
+        assert stats["labels_cap_reached"] is True
+        assert stats["time_limit_reached"] is False
+        assert record["proven_optimal"] is False
+        assert record["objective"] == stats["initial_upper_bound"] == 34773
+        assert stats["labels_total"] == 2534
+
     def test_no_timing_makes_output_stable(self, capsys, star_file):
         _, out1, _ = run_cli(capsys, ["solve", star_file, "--no-timing"])
         _, out2, _ = run_cli(capsys, ["solve", star_file, "--no-timing"])

@@ -139,6 +139,31 @@ def test_bound_order_scan_matches_nearest_first(inst):
 
 
 @EXAMPLES
+@given(instances(max_n=8), st.data())
+def test_capped_exact_solve_is_proven_or_its_incumbent(inst, data):
+    # One stop rule in exact mode: a finished search proves the oracle's
+    # optimum, and a passed cap returns the start incumbent unproven,
+    # within one parent's children (fewer than n labels) of the cap.
+    index = build_index(inst)
+    uncapped = solve(inst, index=index).stats["labels_total"]
+    # Half the draws fall within n labels of the end, where a cap can be
+    # crossed inside the last level or only by its final labels.
+    cap = data.draw(st.one_of(
+        st.integers(0, uncapped), st.integers(max(0, uncapped - inst.n), uncapped)
+    ))
+    report = solve(inst, SolverConfig(labels_cap=cap), index)
+    stats = report.stats
+    if report.proven_optimal:
+        assert not stats["labels_cap_reached"]
+        assert report.objective == brute_force(inst, index).objective
+    else:
+        assert stats["labels_cap_reached"]
+        assert report.objective == stats["initial_upper_bound"]
+        assert stats["labels_total"] <= cap + inst.n
+    assert not stats["time_limit_reached"]
+
+
+@EXAMPLES
 @given(instances(max_n=6))
 def test_table_bound_below_best_completion_of_every_prefix(inst):
     n = inst.n
