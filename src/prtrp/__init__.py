@@ -7,7 +7,6 @@ mixed-integer model export.
 
 from .bidp import EXACT, HEURISTIC, SolveReport, SolverConfig, solve
 from .bounds import (
-    BoundsTable,
     WalkTable,
     build_bounds_table,
     build_walk_table,
@@ -38,7 +37,6 @@ from .power_eval import (
 __all__ = [
     "EXACT",
     "HEURISTIC",
-    "BoundsTable",
     "EngineLimitError",
     "Instance",
     "MipModel",

@@ -2,9 +2,9 @@
 
 Both kinds rest on one fact: every vertex not yet reached is dark, so the
 k-th last leg of a tour carries at least k dark vertices. The position
-bounds (BoundsTable) pair best-case dark counts with the sorted shortest
-arcs (rearrangement inequality); the walk bound the solver prunes with
-(WalkTable) follows cheap walks out of a path's endpoint instead.
+bounds (build_bounds_table) pair best-case dark counts with the sorted
+shortest arcs (rearrangement inequality); the walk bound the solver prunes
+with (WalkTable) follows cheap walks out of a path's endpoint instead.
 Everything is exact integer arithmetic.
 
 A position bound L_k(i) bounds every tour that visits vertex i at position
@@ -14,8 +14,8 @@ successor is in place, nothing new can be energized until i itself is
 repaired. Over the n shortest arcs s_1 <= ... <= s_n of the (n+1)*n
 directed arcs, depot arcs included, L_k(i) charges s_p its best-case dark
 count: n-p+1 before and after the stalled stretch, |S_i| inside it
-(p = n-|S_i|+1..k). BoundsTable keeps, per vertex, the row of its
-bounds over exactly those positions, so it holds no position the bound
+(p = n-|S_i|+1..k). build_bounds_table returns, per vertex, the row of
+its bounds over exactly those positions, so it holds no position the bound
 does not cover; each row is non-decreasing.
 """
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import List, NamedTuple, Tuple
 
@@ -34,20 +33,13 @@ from .power_eval import PrecedenceIndex
 _NO_WALK = float("inf")
 
 
-@dataclass
-class BoundsTable:
-    """The position bounds, one row per vertex.
-
-    rows[i-1] is (L_k(i) for k = n-|S_i|+1..n), |S_i| entries. The table
-    serves compute_beta and `prtrp bounds`; the solver prunes with the
-    walk bound of WalkTable instead and never builds it.
-    """
-
-    n: int
-    rows: Tuple[Tuple[int, ...], ...]
-
-
-def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTable:
+def build_bounds_table(
+    instance: Instance, index: PrecedenceIndex
+) -> Tuple[Tuple[int, ...], ...]:
+    """The position bounds, one row per vertex: rows[i-1] is (L_k(i) for
+    k = n-|S_i|+1..n), |S_i| entries. The rows serve compute_beta and
+    `prtrp bounds`; the solver prunes with the walk bound of WalkTable
+    instead and never builds them."""
     n = instance.n
     shortest = heapq.nsmallest(n, chain.from_iterable(
         chain(row[:i], row[i + 1:]) for i, row in enumerate(instance.travel)
@@ -57,18 +49,19 @@ def build_bounds_table(instance: Instance, index: PrecedenceIndex) -> BoundsTabl
     plain = (0, *accumulate(shortest))
     weighted = (0, *accumulate((n - p) * s for p, s in enumerate(shortest)))
     rows = []
-    for count in index.successor_count:
+    for count in map(len, index.successors):
         free = n - count
         rows.append(tuple(
             weighted[free] + count * (plain[k] - plain[free]) + weighted[n] - weighted[k]
             for k in range(free + 1, n + 1)
         ))
-    return BoundsTable(n=n, rows=tuple(rows))
+    return tuple(rows)
 
 
-def compute_beta(table: BoundsTable, upper: int) -> List[int]:
+def compute_beta(rows: Tuple[Tuple[int, ...], ...], upper: int) -> List[int]:
     """Largest admissible position per vertex given an upper bound.
 
+    rows are build_bounds_table's, one per vertex, so n is their count.
     Returns beta with beta[i-1] = (smallest k whose position bound exceeds
     upper) - 1, or n when no position is ruled out. Each row is
     non-decreasing, so the first threshold settles all later positions. A
@@ -77,8 +70,8 @@ def compute_beta(table: BoundsTable, upper: int) -> List[int]:
     """
     if upper < 0:
         raise ValueError(f"upper bound must be >= 0, got {upper}")
-    n = table.n
-    return [n - len(row) + bisect_right(row, upper) for row in table.rows]
+    n = len(rows)
+    return [n - len(row) + bisect_right(row, upper) for row in rows]
 
 
 class WalkTable(NamedTuple):

@@ -14,7 +14,6 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import os
 import sys
@@ -300,18 +299,18 @@ def cmd_generate(args) -> int:
 
 def cmd_bounds(args) -> int:
     work, index = _prepare(_load_instance(args.instance))
-    table = bounds.build_bounds_table(work, index)
+    rows = bounds.build_bounds_table(work, index)
     if args.ub is not None:
         ub = args.ub
     else:
         ub = heuristics.greedy_incumbent(work, index).objective
-    beta = bounds.compute_beta(table, ub)
+    beta = bounds.compute_beta(rows, ub)
     n = work.n
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(
         ["vertex", "successor_count", "beta"] + [f"L_k{k}" for k in range(1, n + 1)]
     )
-    for i, (row, b) in enumerate(zip(table.rows, beta), 1):
+    for i, (row, b) in enumerate(zip(rows, beta), 1):
         # A row holds L_k from position n - |S_i| + 1 on, |S_i| entries.
         writer.writerow([i, len(row), b, *[""] * (n - len(row)), *row])
     return EXIT_OK
@@ -322,7 +321,7 @@ def cmd_export_mip(args) -> int:
     if args.output and Path(args.output).is_dir():
         raise ValueError(f"export-mip -o names a directory, not a file: {args.output}")
     work, index = _prepare(_load_instance(args.instance))
-    model = mip_export.build_model(work, index, big_m=args.big_m)
+    model = mip_export.build_model(work, index)
     text = mip_export.write_lp_text(model)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")
@@ -388,7 +387,7 @@ def cmd_check_mip(args) -> int:
     sol_path = Path(args.solution)
     if not sol_path.is_file():
         raise FileNotFoundError(f"solution file not found: {args.solution}")
-    data = json.loads(sol_path.read_text(encoding="utf-8"))
+    data = inst_mod.decode_json(sol_path.read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("solution file must hold a JSON object")
     missing = [key for key in ("x", "t", "r") if key not in data]
@@ -523,7 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("export-mip", help="write the model as an LP file")
     p_exp.add_argument("instance")
     p_exp.add_argument("-o", "--output", default=None)
-    p_exp.add_argument("--big-m", type=int, default=None, dest="big_m")
     p_exp.set_defaults(func=cmd_export_mip)
 
     p_chk = sub.add_parser("check-mip", help="verify an externally produced solution")
@@ -547,7 +545,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EngineLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE_LIMIT
-    except (FileNotFoundError, ValueError, OverflowError, json.JSONDecodeError) as exc:
+    except (FileNotFoundError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -56,7 +56,7 @@ def greedy_priority_distance(instance: Instance, index: PrecedenceIndex) -> Rout
     From vertex i the next stop minimizes d_ij / |S_j|, so vertices feeding
     large subtrees get pulled forward.
     """
-    order = _greedy_extend(instance, (), (0, *index.successor_count))
+    order = _greedy_extend(instance, (), (0, *map(len, index.successors)))
     return evaluate_route(instance, index, order)
 
 

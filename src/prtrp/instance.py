@@ -29,21 +29,27 @@ class Instance:
 
     Attributes:
         name: identifier used for file naming and reports.
-        n: number of fault vertices, labeled 1..n (the depot is vertex 0).
         travel: (n+1) x (n+1) matrix of non-negative integer travel times,
-            zero diagonal. Asymmetry is allowed.
+            zero diagonal, over the depot 0 and the fault vertices 1..n.
+            Asymmetry is allowed.
         power_parent: immediate predecessor in the power tree for every
             fault vertex except the source.
         source: root of the power tree, in 1..n.
         repair_duration: per-vertex repair time, index i-1 for vertex i.
+
+    n, the number of fault vertices, is not stored: the travel matrix's
+    size fixes it.
     """
 
     name: str
-    n: int
     travel: Matrix
     power_parent: Dict[int, int]
     source: int
     repair_duration: Tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.travel) - 1
 
 
 @dataclass(frozen=True)
@@ -87,7 +93,6 @@ def make_instance(
     n = len(travel) - 1
     inst = Instance(
         name=name,
-        n=n,
         travel=tuple(tuple(row) for row in travel),
         power_parent=dict(power_parent),
         source=source,
@@ -102,19 +107,11 @@ def make_instance(
 def validate(instance: Instance) -> List[str]:
     """Return every violated instance rule, types included; empty when
     well-formed. A value of the wrong type is reported, never compared; a
-    wrongly typed field, as opposed to an entry within one, ends the report."""
+    wrongly typed field, as opposed to an entry within one, ends the report.
+    n is read off the travel matrix once it is known to be a list of lists."""
     bad: List[str] = []
     if type(instance.name) is not str:
         bad.append(f"name must be a string, got {instance.name!r}")
-    n = instance.n
-    if type(n) is not int:
-        bad.append(f"n must be an integer, got {n!r}")
-        return bad
-    if n < 1:
-        bad.append(f"n must be >= 1, got {n}")
-        return bad
-
-    size = n + 1
     travel = instance.travel
     if not _is_list(travel):
         bad.append(f"travel must be a list of rows, got {travel!r}")
@@ -123,7 +120,13 @@ def validate(instance: Instance) -> List[str]:
         if not _is_list(row):
             bad.append(f"travel row {i} must be a list of integers, got {row!r}")
             return bad
-    if len(travel) != size or any(len(row) != size for row in travel):
+    n = instance.n
+    if n < 1:
+        bad.append(f"n must be >= 1, got {n}")
+        return bad
+
+    size = n + 1
+    if any(len(row) != size for row in travel):
         bad.append(f"travel matrix must be {size}x{size}")
         return bad
     # One walk in row order reports each bad entry; a builtin pre-test in
@@ -226,7 +229,6 @@ def absorb_repair_durations(instance: Instance) -> Instance:
                     )
     return Instance(
         name=instance.name,
-        n=n,
         travel=tuple(rows),
         power_parent=dict(instance.power_parent),
         source=instance.source,
@@ -256,7 +258,6 @@ def extract_subtree(instance: Instance, new_source: int) -> Instance:
     }
     return Instance(
         name=f"{instance.name}_sub{new_source}",
-        n=len(keep),
         travel=travel,
         power_parent=parent,
         source=relabel[new_source],
@@ -299,7 +300,6 @@ def generate_random(n: int, seed: int, coord_range: int = 1000) -> Instance:
         grown.append(v)
     return Instance(
         name=f"rand-n{n}-s{seed}",
-        n=n,
         travel=travel,
         power_parent=parent,
         source=source,
@@ -454,8 +454,17 @@ def dumps(instance: Instance) -> str:
     return json_text(to_dict(instance)) + "\n"
 
 
+def decode_json(text: str):
+    """json.loads(text); a ValueError, not a RecursionError, for JSON that
+    nests too deeply for the decoder."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply to decode") from None
+
+
 def loads(text: str) -> Instance:
-    return from_dict(json.loads(text))
+    return from_dict(decode_json(text))
 
 
 def save(instance: Instance, path) -> Path:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, compress, count
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .instance import Instance, Matrix
 from .power_eval import PrecedenceIndex, evaluate_route
@@ -35,22 +35,18 @@ class MipModel:
     linkage: Tuple[Tuple[int, int], ...]
 
 
-def build_model(
-    instance: Instance, index: PrecedenceIndex, big_m: Optional[int] = None
-) -> MipModel:
+def build_model(instance: Instance, index: PrecedenceIndex) -> MipModel:
     """Assemble the model for a zero-duration instance.
 
-    The default big-M is the sum of all arc lengths, which is always large
-    enough; pass big_m >= 0 to override with something tighter.
+    Big-M is the sum of all arc lengths, so a tour's length plus any arc
+    it does not use stays within M: the time row of every unused arc is
+    slack and the model keeps every tour. A smaller M can cut tours off,
+    the optimal one included.
     """
     if any(instance.repair_duration):
         raise ValueError("repair durations must be absorbed before model export")
-    if big_m is not None and big_m < 0:
-        # With x_ij = 0 the time row would still demand t_j - t_i >= d_ij + |M|.
-        raise ValueError(f"big_m must be >= 0, got {big_m}")
     n = instance.n
-    if big_m is None:
-        big_m = sum(sum(row) - row[i] for i, row in enumerate(instance.travel))
+    big_m = sum(sum(row) - row[i] for i, row in enumerate(instance.travel))
     # Each i's successor list names the j whose ancestor sets hold i;
     # sorting the pairs lists each j's ancestors in ascending label order.
     linkage = sorted(

@@ -20,13 +20,11 @@ class PrecedenceIndex:
 
     ancestors[v-1] holds v plus everything on its path up to the source;
     successors[v-1] lists v plus everything below it, ascending: the
-    vertices whose ancestor sets hold v. successor_count[v-1] is its
-    length. Vertex v is energized exactly when its whole ancestor set has
-    been repaired.
+    vertices whose ancestor sets hold v; its length is |S_v|. Vertex v is
+    energized exactly when its whole ancestor set has been repaired.
     """
 
     source: int
-    successor_count: Tuple[int, ...]
     successors: Tuple[Tuple[int, ...], ...]
     ancestors: Tuple[int, ...]
 
@@ -53,7 +51,6 @@ def build_index(instance: Instance) -> PrecedenceIndex:
 
     return PrecedenceIndex(
         source=source,
-        successor_count=tuple(map(len, successors)),
         successors=tuple(map(tuple, successors)),
         ancestors=tuple(ancestors),
     )

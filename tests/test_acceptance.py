@@ -203,7 +203,7 @@ def test_criterion_04_pruning_soundness():
     source_states = set()
     for inst in prune_instances():
         index = build_index(inst)
-        table = build_bounds_table(inst, index)
+        rows = build_bounds_table(inst, index)
         walks = build_walk_table(inst, index)
         best_at, best_prefix = _enumeration_tables(inst)
         anc = ancestor_sets(inst)
@@ -215,9 +215,9 @@ def test_criterion_04_pruning_soundness():
             assert lb <= best, (inst.name, prefix, lb, best)
             source_states.add(inst.source in prefix)
             checked += 1
-        for i, row in enumerate(table.rows, 1):
+        for i, row in enumerate(rows, 1):
             # row holds L_k(i) for k = lo..n
-            lo = n - index.successor_count[i - 1] + 1
+            lo = n - len(index.successors[i - 1]) + 1
             for k in range(lo, n + 1):
                 assert row[k - lo] <= best_at[i][k], (inst.name, i, k)
                 checked += 1
@@ -229,10 +229,10 @@ def test_criterion_05_position_bound_monotone():
     checked = 0
     for inst in prune_instances():
         index = build_index(inst)
-        table = build_bounds_table(inst, index)
+        rows = build_bounds_table(inst, index)
         n = inst.n
-        for i, row in enumerate(table.rows, 1):
-            lo = n - index.successor_count[i - 1] + 1
+        for i, row in enumerate(rows, 1):
+            lo = n - len(index.successors[i - 1]) + 1
             for k in range(lo + 1, n + 1):
                 assert row[k - lo] >= row[k - lo - 1], (inst.name, i, k)
                 checked += 1

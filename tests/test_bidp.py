@@ -189,7 +189,7 @@ class TestSolveExact:
         from prtrp import Instance
 
         withp = Instance(
-            name="p", n=3, travel=star.travel,
+            name="p", travel=star.travel,
             power_parent=dict(star.power_parent), source=1,
             repair_duration=(1, 0, 0),
         )
@@ -200,7 +200,7 @@ class TestSolveExact:
         from prtrp import Instance
 
         silly = Instance(
-            name="big", n=64, travel=((0,),) * 65,
+            name="big", travel=((0,),) * 65,
             power_parent={}, source=1, repair_duration=(0,) * 64,
         )
         with pytest.raises(EngineLimitError):

@@ -37,8 +37,8 @@ class TestTable:
     def test_star_rows(self, star_table):
         # The source powers all three vertices, so its row covers every
         # position; a leaf's covers only the last.
-        assert star_table.n == 3
-        assert [len(row) for row in star_table.rows] == [3, 1, 1]
+        assert len(star_table) == 3
+        assert [len(row) for row in star_table] == [3, 1, 1]
 
     @staticmethod
     def instances():
@@ -57,9 +57,9 @@ class TestTable:
         for inst in self.instances():
             table = build_bounds_table(inst, build_index(inst))
             anc = ancestor_sets(inst)
-            assert table.n == inst.n
-            assert table.rows == reference_position_rows(inst), inst.name
-            for i, row in enumerate(table.rows, 1):
+            assert len(table) == inst.n
+            assert table == reference_position_rows(inst), inst.name
+            for i, row in enumerate(table, 1):
                 # one entry per applicable position k = n-|S_i|+1..n
                 assert len(row) == sum(1 for a in anc.values() if i in a), \
                     (inst.name, i)
@@ -68,18 +68,18 @@ class TestTable:
 class TestPositionLowerBound:
     # The 3 shortest of the star's 12 arcs all have length 1.
     def test_star_source_values(self, star_table):
-        assert star_table.rows[0] == (6, 7, 9)
+        assert star_table[0] == (6, 7, 9)
 
     def test_star_leaf_value(self, star_table):
         # leaves only become applicable at the last position
-        assert star_table.rows[1] == star_table.rows[2] == (6,)
+        assert star_table[1] == star_table[2] == (6,)
 
     def test_monotone_on_applicable_range(self):
         for k in range(10):
             n = 5 + k % 4
             inst = generate_random(n, seed=910 + k)
             table = build_bounds_table(inst, build_index(inst))
-            for row in table.rows:
+            for row in table:
                 assert list(row) == sorted(row)
 
 

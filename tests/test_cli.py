@@ -372,7 +372,9 @@ class TestUnusableInput:
              "no *.json instance files"),
             (["bench", "--n", "5", "--count", "0"], "--count must be >= 1, got 0"),
             (["bench", "--n", "5", "--count", "-2"], "--count must be >= 1, got -2"),
-            (["export-mip", "{star}", "--big-m", "-1"], "big_m must be >= 0, got -1"),
+            # Big-M is always the sum of all arcs: no flag sets it.
+            (["export-mip", "{star}", "--big-m", "-1"],
+             "unrecognized arguments: --big-m -1"),
             (["bounds", "{star}", "--ub", "-5"], "upper bound must be >= 0, got -5"),
             (["solve", "{star}", "--heuristic-source-beta"],
              "unrecognized arguments: --heuristic-source-beta"),
@@ -494,6 +496,30 @@ class TestUnusableInput:
         assert message.format(tmp=tmp_path) in err
         assert not (tmp_path / "missing").exists()
         assert list((tmp_path / "empty").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{tmp}/deep/deep.json"],
+            ["bench", "--dir", "{tmp}/deep", "--methods", "gid"],
+            ["check-mip", "{tmp}/deep-x.json", "--instance", "{star}"],
+        ],
+        ids=["solve", "bench-dir", "check-mip-x"],
+    )
+    def test_json_past_the_decoder_depth_exits_2(self, capsys, tmp_path, star, argv):
+        # Nested past the recursion limit, the decoder raises RecursionError;
+        # that is malformed input, reported in one line, not a traceback.
+        (tmp_path / "deep").mkdir()
+        (tmp_path / "deep" / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        (tmp_path / "deep-x.json").write_text(
+            '{"x": ' + "[" * 50_000 + "]" * 50_000 + ', "t": [], "r": []}'
+        )
+        star_file = inst_mod.save(star, tmp_path / "star.json")
+        argv = [a.format(tmp=tmp_path, star=star_file) for a in argv]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: JSON nests too deeply to decode\n"
 
 
 class TestParserReuse:

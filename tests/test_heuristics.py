@@ -305,7 +305,7 @@ class TestDescent:
             assert str(err.value) == \
                 f"start is not a permutation of 1..6: {start}", start
         withp = Instance(
-            name="p", n=3, travel=star.travel,
+            name="p", travel=star.travel,
             power_parent=dict(star.power_parent), source=1,
             repair_duration=(1, 0, 0),
         )

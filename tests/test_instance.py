@@ -24,7 +24,7 @@ from helpers import latency_brute_force, random_orders, sim_objective_with_durat
 def unchecked(**fields):
     """The star built directly as an Instance, so that no rule is checked,
     with the given fields replaced."""
-    star = {"name": "bad", "n": 3, "travel": STAR_TRAVEL,
+    star = {"name": "bad", "travel": STAR_TRAVEL,
             "power_parent": {2: 1, 3: 1}, "source": 1, "repair_duration": (0, 0, 0)}
     return Instance(**{**star, **fields})
 
@@ -64,7 +64,6 @@ class TestValidate:
     def test_negative_duration(self, star):
         wrong = Instance(
             name="bad",
-            n=3,
             travel=star.travel,
             power_parent=dict(star.power_parent),
             source=1,
@@ -88,8 +87,6 @@ class TestValidate:
              "power parent of 2 must be an integer, got '1'"),
             ({"repair_duration": (0, "0", 0)},
              "repair duration must be an integer, got '0'"),
-            ({"n": "1"}, "n must be an integer, got '1'"),
-            ({"n": 1.0}, "n must be an integer, got 1.0"),
             ({"travel": None}, "travel must be a list of rows, got None"),
             ({"travel": [STAR_TRAVEL[0], None, *STAR_TRAVEL[2:]]},
              "travel row 1 must be a list of integers, got None"),
@@ -99,7 +96,7 @@ class TestValidate:
             ({"repair_duration": (0, 0)}, "repair_duration must have length 3"),
         ],
         ids=["name", "float-arc", "string-arc", "source", "bool-source", "child",
-             "parent", "duration", "string-n", "float-n", "no-travel", "no-row",
+             "parent", "duration", "no-travel", "no-row",
              "no-durations", "no-parent-map", "short-durations"],
     )
     def test_type_is_reported_before_any_comparison(self, fields, message):
@@ -154,7 +151,6 @@ class TestAbsorbRepairDurations:
     def test_star_with_source_duration(self, star):
         withp = Instance(
             name="star",
-            n=3,
             travel=star.travel,
             power_parent=dict(star.power_parent),
             source=1,
@@ -177,7 +173,6 @@ class TestAbsorbRepairDurations:
             base = generate_random(n, seed=900 + k, coord_range=60)
             withp = Instance(
                 name=base.name,
-                n=n,
                 travel=base.travel,
                 power_parent=dict(base.power_parent),
                 source=base.source,
@@ -193,7 +188,6 @@ class TestAbsorbRepairDurations:
     def test_overflow_rejected(self, star):
         big = Instance(
             name="big",
-            n=3,
             travel=star.travel,
             power_parent=dict(star.power_parent),
             source=1,

@@ -29,14 +29,11 @@ class TestBuildModel:
         model = build_model(inst, build_index(inst))
         assert len(model.linkage) == 1
 
-    def test_big_m_override(self, star, star_index):
-        assert build_model(star, star_index, big_m=99).big_m == 99
-
     def test_rejects_unabsorbed_durations(self, star, star_index):
         from prtrp import Instance
 
         withp = Instance(
-            name="p", n=3, travel=star.travel,
+            name="p", travel=star.travel,
             power_parent=dict(star.power_parent), source=1,
             repair_duration=(1, 0, 0),
         )
@@ -70,24 +67,22 @@ class TestWriteLpText:
         assert lint_lp(write_lp_text(model)) == []
 
     @pytest.mark.parametrize(
-        "which, big_m, digest",
+        "which, digest",
         [
-            ("uniform", None,
+            ("uniform",
              "ffefe9f8d5827ea4979700f5762e13f61a3956c6ead445ac44722ecdbbbbf8dd"),
-            ("star", None,
+            ("star",
              "4cd5acf62bfe95bc5c1ab03289002efd122d643b1fa800138be40d2014f99fa1"),
-            ("uniform-40", 5000,
-             "fccbfe53c08fc805386ce291360ac9a528c56cac681c8fc00fc668c09bf17fa0"),
         ],
-        ids=["uniform-63", "star-63", "uniform-40-big-m-5000"],
+        ids=["uniform-63", "star-63"],
     )
-    def test_text_is_byte_stable(self, which, big_m, digest):
+    def test_text_is_byte_stable(self, which, digest):
         # sha256 of the text written by the entry-by-entry writer that the
         # row and column passes replaced; any changed byte moves it.
-        inst = generate_random(40, 2) if which == "uniform-40" else generate_random(63, 1)
+        inst = generate_random(63, 1)
         if which == "star":
             inst = generate_star_reduction(inst.travel)
-        text = write_lp_text(build_model(inst, build_index(inst), big_m=big_m))
+        text = write_lp_text(build_model(inst, build_index(inst)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_linter_rejects_garbage(self):

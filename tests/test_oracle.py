@@ -84,7 +84,7 @@ class TestHeldKarpForward:
         from prtrp import Instance
 
         withp = Instance(
-            name="p", n=3, travel=star.travel,
+            name="p", travel=star.travel,
             power_parent=dict(star.power_parent), source=1,
             repair_duration=(1, 0, 0),
         )

@@ -26,11 +26,11 @@ def mask(*vertices):
 
 class TestBuildIndex:
     def test_star_masks(self, star_index):
-        assert star_index.successor_count == (3, 1, 1)
+        assert tuple(map(len, star_index.successors)) == (3, 1, 1)
         assert star_index.ancestors[2] == mask(1, 3)
 
     def test_chain_masks(self, chain_index):
-        assert chain_index.successor_count == (3, 2, 1)
+        assert tuple(map(len, chain_index.successors)) == (3, 2, 1)
         assert chain_index.ancestors[2] == mask(1, 2, 3)
 
     def test_partition_into_child_subtrees(self):
@@ -41,9 +41,9 @@ class TestBuildIndex:
             index = build_index(inst)
             below = {v: 0 for v in range(1, 10)}
             for c, p in inst.power_parent.items():
-                below[p] += index.successor_count[c - 1]
+                below[p] += len(index.successors[c - 1])
             for v in range(1, 10):
-                assert index.successor_count[v - 1] == 1 + below[v]
+                assert len(index.successors[v - 1]) == 1 + below[v]
 
     def test_successor_ancestor_duality(self):
         # The vertices at or below i are those whose ancestor sets hold i,
@@ -57,7 +57,7 @@ class TestBuildIndex:
                         u for u, a in enumerate(index.ancestors, 1) if a & mask(i)
                     )
                     assert index.successors[i - 1] == holders, (inst.name, i)
-                    assert index.successor_count[i - 1] == len(holders)
+                    assert len(index.successors[i - 1]) == len(holders)
 
 
 class TestDisruptedCount:
@@ -148,7 +148,7 @@ class TestEvaluateRoute:
         from prtrp import Instance
 
         withp = Instance(
-            name="p", n=3, travel=star.travel,
+            name="p", travel=star.travel,
             power_parent=dict(star.power_parent), source=1,
             repair_duration=(1, 0, 0),
         )

@@ -164,6 +164,32 @@ def test_capped_exact_solve_is_proven_or_its_incumbent(inst, data):
 
 
 @EXAMPLES
+@given(instances())
+def test_theta_delta_solve_lies_between_the_optimum_and_its_incumbent(inst):
+    # A theta/delta solve proves nothing, but its tour is a real one that
+    # re-evaluates to its objective, no worse than the start incumbent and
+    # no better than the oracle's optimum; each refresh can only lower the
+    # incumbent. With nothing relaxed it finds the optimum. Every setting
+    # runs on every draw: few small instances start above their optimum.
+    index = build_index(inst)
+    best = brute_force(inst, index).objective
+    for theta in (0.5, 0.7, 0.9, 1.0):
+        for delta in (0.0, 0.01, 0.05):
+            config = SolverConfig(mode=HEURISTIC, theta=theta, delta=delta)
+            report = solve(inst, config, index)
+            stats = report.stats
+            assert best <= report.objective <= stats["initial_upper_bound"]
+            trajectory = stats["u_trajectory"]
+            assert all(a >= b for a, b in zip(trajectory, trajectory[1:]))
+            assert trajectory[-1] == report.objective
+            route = evaluate_route(inst, index, report.route.order)
+            assert route.objective == report.objective
+            assert not report.proven_optimal
+            if theta == 1.0 and delta == 0.0:
+                assert report.objective == best
+
+
+@EXAMPLES
 @given(instances(max_n=6))
 def test_table_bound_below_best_completion_of_every_prefix(inst):
     n = inst.n
